@@ -5,7 +5,10 @@
 /// runtime: once with the copying evaluator and once with the
 /// destructive last-use evaluator. The bench asserts the two runs
 /// decode to bit-identical outputs (the determinism contract), then
-/// reports per-kernel wall time, the copies the in-place path avoided
+/// reports per-kernel server-side evaluation time
+/// (RunResult::exec_seconds — packing, encoding, encryption and
+/// decryption are identical on both paths and would swamp the
+/// difference), the copies the in-place path avoided
 /// (InPlaceStats), and the steady-state arena alloc count — which must
 /// be zero after the priming pass, mirroring bench_ntt's floor.
 ///
@@ -18,7 +21,6 @@
 #include "benchsuite/kernels.h"
 #include "compiler/pipeline.h"
 #include "compiler/runtime.h"
-#include "support/stopwatch.h"
 
 namespace {
 
@@ -56,24 +58,22 @@ main()
     int failures = 0;
     std::uint64_t total_saved = 0;
 
-    std::printf("%-16s %12s %12s %8s %9s %9s %7s\n", "kernel",
-                "copy_ms", "inplace_ms", "speedup", "consumed", "copies",
-                "match");
+    std::printf("%-16s %12s %15s %8s %9s %9s %7s\n", "kernel",
+                "copy_eval_ms", "inplace_eval_ms", "speedup", "consumed",
+                "copies", "match");
     for (const Kernel& kernel : mix) {
         const Compiled compiled = chehab::compiler::compileNoOpt(kernel.program);
         const chehab::ir::Env env =
             chehab::benchsuite::syntheticInputs(kernel.program);
 
         runtime.setInPlaceEnabled(false);
-        const chehab::Stopwatch copy_watch;
         const RunResult copying = runtime.run(compiled.program, env);
-        const double copy_s = copy_watch.elapsedSeconds();
+        const double copy_s = copying.exec_seconds;
 
         runtime.setInPlaceEnabled(true);
         const chehab::compiler::InPlaceStats before = runtime.inPlaceStats();
-        const chehab::Stopwatch inplace_watch;
         const RunResult inplace = runtime.run(compiled.program, env);
-        const double inplace_s = inplace_watch.elapsedSeconds();
+        const double inplace_s = inplace.exec_seconds;
         const chehab::compiler::InPlaceStats after = runtime.inPlaceStats();
 
         const bool match = copying.output == inplace.output;
@@ -81,7 +81,7 @@ main()
         const std::uint64_t consumed = after.consumed - before.consumed;
         const std::uint64_t copies = after.copies - before.copies;
         total_saved += consumed;
-        std::printf("%-16s %12.2f %12.2f %7.2fx %9llu %9llu %7s\n",
+        std::printf("%-16s %12.2f %15.2f %7.2fx %9llu %9llu %7s\n",
                     kernel.name.c_str(), copy_s * 1e3, inplace_s * 1e3,
                     inplace_s > 0.0 ? copy_s / inplace_s : 0.0,
                     static_cast<unsigned long long>(consumed),

@@ -15,18 +15,15 @@ FheRuntime::FheRuntime(fhe::SealLiteParams params)
 {}
 
 std::vector<std::int64_t>
-FheRuntime::packBase(const FheInstr& instr, const ir::Env& env) const
+FheRuntime::packLaneRegion(const FheInstr& instr, const ir::Env& env,
+                           int lane_stride) const
 {
     const int width = static_cast<int>(instr.slots.size());
-    if (width > scheme_.slots()) {
-        throw CompileError(
-            "pack wider than the batching row (" + std::to_string(width) +
-            " > " + std::to_string(scheme_.slots()) +
-            "); raise the polynomial modulus degree");
-    }
-    std::vector<std::int64_t> base(static_cast<std::size_t>(width), 0);
+    std::vector<std::int64_t> region(static_cast<std::size_t>(lane_stride),
+                                     0);
     for (int i = 0; i < width; ++i) {
         const PackSlot& slot = instr.slots[static_cast<std::size_t>(i)];
+        std::int64_t& value = region[static_cast<std::size_t>(i)];
         switch (slot.kind) {
           case PackSlot::Kind::CtVar:
           case PackSlot::Kind::PtVar: {
@@ -34,65 +31,40 @@ FheRuntime::packBase(const FheInstr& instr, const ir::Env& env) const
             if (it == env.end()) {
                 throw CompileError("unbound input '" + slot.name + "'");
             }
-            base[static_cast<std::size_t>(i)] = it->second;
+            value = it->second;
             break;
           }
           case PackSlot::Kind::Const:
-            base[static_cast<std::size_t>(i)] = slot.value;
+            value = slot.value;
             break;
-          case PackSlot::Kind::PlainExpr: {
-            const ir::Value v = plain_eval_.evaluate(slot.expr, env);
-            base[static_cast<std::size_t>(i)] = v.scalar();
+          case PackSlot::Kind::PlainExpr:
+            value = plain_eval_.evaluate(slot.expr, env).scalar();
             break;
-          }
         }
     }
-    return base;
-}
-
-std::vector<std::int64_t>
-FheRuntime::packValues(const FheInstr& instr, const ir::Env& env) const
-{
-    std::vector<std::int64_t> base = packBase(instr, env);
-    if (!instr.replicate) return base;
-    // Replicate period-w across the whole row so a single ciphertext
-    // rotation realizes the width-w cyclic rotation.
-    const int width = static_cast<int>(base.size());
-    std::vector<std::int64_t> replicated(
-        static_cast<std::size_t>(scheme_.slots()));
-    for (int i = 0; i < scheme_.slots(); ++i) {
-        replicated[static_cast<std::size_t>(i)] =
-            base[static_cast<std::size_t>(i % width)];
-    }
-    return replicated;
-}
-
-std::vector<std::int64_t>
-FheRuntime::packLaneRegion(const FheInstr& instr, const ir::Env& env,
-                           int lane_stride) const
-{
-    std::vector<std::int64_t> base = packBase(instr, env);
-    const int width = static_cast<int>(base.size());
-    if (width > lane_stride) {
-        throw CompileError("pack wider than the lane stride (" +
-                           std::to_string(width) + " > " +
-                           std::to_string(lane_stride) + ")");
-    }
-    std::vector<std::int64_t> region(static_cast<std::size_t>(lane_stride),
-                                     0);
     if (instr.replicate) {
         // Period-w replication *within the lane's region*: the stride
         // is a power-of-two multiple of the (power-of-two) pack width,
         // so a whole-row rotation still realizes the width-w cyclic
-        // rotation inside every lane.
-        for (int i = 0; i < lane_stride; ++i) {
+        // rotation inside every lane (at stride slots(), across the
+        // whole row).
+        for (int i = width; i < lane_stride; ++i) {
             region[static_cast<std::size_t>(i)] =
-                base[static_cast<std::size_t>(i % width)];
+                region[static_cast<std::size_t>(i - width)];
         }
-    } else {
-        std::copy(base.begin(), base.end(), region.begin());
     }
     return region;
+}
+
+CompositeMember
+wholeProgramMember(const FheProgram& program, int lane_count)
+{
+    CompositeMember member;
+    member.instr_end = static_cast<int>(program.instrs.size());
+    member.lane_count = lane_count;
+    member.output_reg = program.output_reg;
+    member.output_width = program.output_width;
+    return member;
 }
 
 RotationKeyPlan
@@ -333,205 +305,111 @@ RunResult
 FheRuntime::run(const FheProgram& program, const ir::Env& env,
                 const RotationKeyPlan& plan)
 {
-    const Stopwatch setup_watch;
-    RunResult result;
-    result.counts = program.counts();
-    result.fresh_noise_budget = scheme_.freshNoiseBudget();
-
-    scheme_.makeGaloisKeys(plan.keys);
-    result.rotation_keys = static_cast<int>(plan.keys.size());
-
-    // Client-side phase: pack, encode, encrypt.
-    std::unordered_map<int, fhe::Ciphertext> cts;
-    std::unordered_map<int, fhe::Plaintext> plains;
-    for (const FheInstr& instr : program.instrs) {
-        if (instr.op == FheOpcode::PackCipher) {
-            cts.emplace(instr.dst,
-                        scheme_.encrypt(scheme_.encode(
-                            packValues(instr, env))));
-        } else if (instr.op == FheOpcode::PackPlain) {
-            plains.emplace(instr.dst,
-                           scheme_.encode(packValues(instr, env)));
-        }
-    }
-
-    result.setup_seconds = setup_watch.elapsedSeconds();
-    result.exec_seconds =
-        evaluateServer(program, plan, cts, plains, {program.output_reg},
-                       result.fresh_noise_budget, &result.mod_switch_drops);
-    const Stopwatch decode_watch;
-
-    // Degenerate all-plaintext programs produce a plaintext output
-    // register: nothing homomorphic ever ran.
-    if (!cts.count(program.output_reg)) {
-        const std::vector<std::int64_t> values =
-            scheme_.decode(plains.at(program.output_reg));
-        result.final_noise_budget = result.fresh_noise_budget;
-        result.output.assign(
-            values.begin(),
-            values.begin() + std::min<std::size_t>(
-                                 values.size(),
-                                 static_cast<std::size_t>(
-                                     program.output_width)));
-        result.decode_seconds = decode_watch.elapsedSeconds();
-        recycleCiphertexts(cts);
-        return result;
-    }
-
-    const fhe::Ciphertext& out = cts.at(program.output_reg);
-    result.final_noise_budget = scheme_.noiseBudgetBits(out);
-    result.consumed_noise =
-        result.fresh_noise_budget - result.final_noise_budget;
-
-    const std::vector<std::int64_t> decrypted = scheme_.decrypt(out);
-    result.output.assign(
-        decrypted.begin(),
-        decrypted.begin() + std::min<std::size_t>(
-                                decrypted.size(),
-                                static_cast<std::size_t>(
-                                    program.output_width)));
-    result.decode_seconds = decode_watch.elapsedSeconds();
-    recycleCiphertexts(cts);
-    return result;
+    RowRunResult row =
+        runRow(program, plan, scheme_.slots(), {wholeProgramMember(program)},
+               {{&env}});
+    row.shared.output = std::move(row.member_outputs.front().front());
+    return std::move(row.shared);
 }
 
-PackedRunResult
-FheRuntime::runPacked(const FheProgram& program,
-                      const std::vector<const ir::Env*>& lanes,
-                      const RotationKeyPlan& plan, int lane_stride)
+namespace {
+
+/// Reject a row layout runRow() cannot execute, before anything indexes
+/// the program or the lane environments.
+void
+validateRowLayout(const FheProgram& program, int row_slots, int lane_stride,
+                  const std::vector<CompositeMember>& members,
+                  const std::vector<std::vector<const ir::Env*>>& member_lanes)
 {
-    const int num_lanes = static_cast<int>(lanes.size());
-    if (lane_stride <= 0 || num_lanes <= 0 ||
-        scheme_.slots() % lane_stride != 0 ||
-        num_lanes * lane_stride > scheme_.slots()) {
-        throw CompileError(
-            "lane layout exceeds the batching row (" +
-            std::to_string(num_lanes) + " x " +
-            std::to_string(lane_stride) + " > " +
-            std::to_string(scheme_.slots()) + ")");
+    if (lane_stride <= 0 || row_slots % lane_stride != 0) {
+        throw CompileError("lane stride " + std::to_string(lane_stride) +
+                           " does not tile the " +
+                           std::to_string(row_slots) + "-slot row");
     }
-    if (program.output_width > lane_stride) {
-        throw CompileError("output wider than the lane stride");
-    }
-    // Pad the row to full capacity with phantom copies of lane 0: a
-    // partially-used row would leave a zero zone whose content after
-    // rotations is not covered by the planner's per-region safety
-    // invariants, whereas a fully-laned row is (every region behaves
-    // like a real lane, and lane 0's wraparound neighbour is one).
-    const int num_regions = scheme_.slots() / lane_stride;
-
-    const Stopwatch setup_watch;
-    PackedRunResult packed;
-    RunResult& result = packed.shared;
-    result.counts = program.counts();
-    result.fresh_noise_budget = scheme_.freshNoiseBudget();
-
-    scheme_.makeGaloisKeys(plan.keys);
-    result.rotation_keys = static_cast<int>(plan.keys.size());
-
-    // Client-side phase: pack every lane's region, encode the shared
-    // row once per instruction, encrypt once per PackCipher.
-    std::unordered_map<int, fhe::Ciphertext> cts;
-    std::unordered_map<int, fhe::Plaintext> plains;
-    std::vector<std::vector<std::int64_t>> regions(
-        static_cast<std::size_t>(num_regions));
     for (const FheInstr& instr : program.instrs) {
-        if (instr.op != FheOpcode::PackCipher &&
-            instr.op != FheOpcode::PackPlain) {
-            continue;
-        }
-        for (int l = 0; l < num_regions; ++l) {
-            const ir::Env& env =
-                *lanes[static_cast<std::size_t>(l < num_lanes ? l : 0)];
-            regions[static_cast<std::size_t>(l)] =
-                packLaneRegion(instr, env, lane_stride);
-        }
-        fhe::Plaintext plain = scheme_.encodeLanes(regions, lane_stride);
-        if (instr.op == FheOpcode::PackCipher) {
-            cts.emplace(instr.dst, scheme_.encrypt(plain));
-        } else {
-            plains.emplace(instr.dst, std::move(plain));
-        }
-    }
-
-    result.setup_seconds = setup_watch.elapsedSeconds();
-    result.exec_seconds =
-        evaluateServer(program, plan, cts, plains, {program.output_reg},
-                       result.fresh_noise_budget, &result.mod_switch_drops);
-    const Stopwatch decode_watch;
-
-    if (!cts.count(program.output_reg)) {
-        // All-plaintext program: mirror run()'s degenerate path.
-        result.final_noise_budget = result.fresh_noise_budget;
-        packed.lane_outputs =
-            scheme_.decodeLanes(plains.at(program.output_reg), lane_stride,
-                                program.output_width, num_lanes);
-        result.decode_seconds = decode_watch.elapsedSeconds();
-        recycleCiphertexts(cts);
-        return packed;
-    }
-
-    const fhe::Ciphertext& out = cts.at(program.output_reg);
-    result.final_noise_budget = scheme_.noiseBudgetBits(out);
-    result.consumed_noise =
-        result.fresh_noise_budget - result.final_noise_budget;
-    packed.lane_outputs = scheme_.decryptLanes(
-        out, lane_stride, program.output_width, num_lanes);
-    result.decode_seconds = decode_watch.elapsedSeconds();
-    recycleCiphertexts(cts);
-    return packed;
-}
-
-CompositeRunResult
-FheRuntime::runComposite(
-    const CompositeProgram& composite,
-    const std::vector<std::vector<const ir::Env*>>& member_lanes)
-{
-    const FheProgram& program = composite.program;
-    const int stride = composite.lane_stride;
-    if (stride <= 0 || scheme_.slots() % stride != 0) {
-        throw CompileError("composite lane stride does not tile the row");
-    }
-    const int num_regions = scheme_.slots() / stride;
-    if (composite.members.empty() ||
-        member_lanes.size() != composite.members.size()) {
-        throw CompileError("composite member/lane-set mismatch");
-    }
-    for (std::size_t m = 0; m < composite.members.size(); ++m) {
-        const CompositeMember& member = composite.members[m];
-        if (member.lane_count <= 0 || member.lane_base < 0 ||
-            member.lane_base + member.lane_count > num_regions) {
+        const int width = static_cast<int>(instr.slots.size());
+        if (width > row_slots) {
             throw CompileError(
-                "composite lane layout exceeds the batching row");
+                "pack wider than the batching row (" +
+                std::to_string(width) + " > " + std::to_string(row_slots) +
+                "); raise the polynomial modulus degree");
         }
-        if (static_cast<int>(member_lanes[m].size()) != member.lane_count) {
-            throw CompileError("composite member lane-count mismatch");
+        if (width > lane_stride) {
+            throw CompileError("pack wider than the lane stride (" +
+                               std::to_string(width) + " > " +
+                               std::to_string(lane_stride) + ")");
         }
-        if (member.output_width > stride) {
+    }
+    if (members.empty() || member_lanes.size() != members.size()) {
+        throw CompileError("row member/lane-set mismatch");
+    }
+    const int num_lanes = row_slots / lane_stride;
+    int next_instr = 0;
+    for (std::size_t m = 0; m < members.size(); ++m) {
+        const CompositeMember& member = members[m];
+        if (member.instr_begin != next_instr ||
+            member.instr_end <= member.instr_begin ||
+            member.instr_end > static_cast<int>(program.instrs.size())) {
+            throw CompileError(
+                "row member slices must tile the program in order");
+        }
+        next_instr = member.instr_end;
+        if (member.output_reg < 0 || member.output_reg >= program.num_regs) {
+            throw CompileError("row member output register out of range");
+        }
+        if (member.lane_count <= 0 || member.lane_base < 0 ||
+            member.lane_base > num_lanes - member.lane_count) {
+            throw CompileError("row lane layout exceeds the batching row");
+        }
+        const std::vector<const ir::Env*>& lanes = member_lanes[m];
+        if (static_cast<int>(lanes.size()) != member.lane_count ||
+            std::find(lanes.begin(), lanes.end(), nullptr) != lanes.end()) {
+            throw CompileError("row member lane-count mismatch");
+        }
+        if (member.output_width < 0 || member.output_width > lane_stride) {
             throw CompileError("output wider than the lane stride");
         }
     }
+    if (next_instr != static_cast<int>(program.instrs.size())) {
+        throw CompileError(
+            "row member slices must tile the program in order");
+    }
+}
+
+} // namespace
+
+RowRunResult
+FheRuntime::runRow(
+    const FheProgram& program, const RotationKeyPlan& plan, int lane_stride,
+    const std::vector<CompositeMember>& members,
+    const std::vector<std::vector<const ir::Env*>>& member_lanes)
+{
+    validateRowLayout(program, scheme_.slots(), lane_stride, members,
+                      member_lanes);
+    const int num_lanes = scheme_.slots() / lane_stride;
 
     const Stopwatch setup_watch;
-    CompositeRunResult composite_result;
-    RunResult& result = composite_result.shared;
+    RowRunResult row;
+    RunResult& result = row.shared;
     result.counts = program.counts();
     result.fresh_noise_budget = scheme_.freshNoiseBudget();
 
-    scheme_.makeGaloisKeys(composite.plan.keys);
-    result.rotation_keys = static_cast<int>(composite.plan.keys.size());
+    scheme_.makeGaloisKeys(plan.keys);
+    result.rotation_keys = static_cast<int>(plan.keys.size());
 
     // Client-side phase: every pack instruction belongs to exactly one
-    // member slice; its regions carry that member's request lanes at
-    // the member's composite-lane block and phantom copies of the
-    // member's first lane everywhere else, so each member's rows are
-    // fully laned (the shape its lane-safety certificate assumes).
+    // member slice; its lanes carry that member's request lanes at the
+    // member's lane block and phantom copies of the member's first lane
+    // everywhere else, so each member's rows are fully laned (the shape
+    // its lane-safety certificate assumes). One encode per pack, one
+    // encrypt per PackCipher.
     std::unordered_map<int, fhe::Ciphertext> cts;
     std::unordered_map<int, fhe::Plaintext> plains;
     std::vector<std::vector<std::int64_t>> regions(
-        static_cast<std::size_t>(num_regions));
-    for (std::size_t m = 0; m < composite.members.size(); ++m) {
-        const CompositeMember& member = composite.members[m];
+        static_cast<std::size_t>(num_lanes));
+    std::vector<int> protected_regs;
+    for (std::size_t m = 0; m < members.size(); ++m) {
+        const CompositeMember& member = members[m];
         const std::vector<const ir::Env*>& lanes = member_lanes[m];
         for (int i = member.instr_begin; i < member.instr_end; ++i) {
             const FheInstr& instr =
@@ -540,66 +418,58 @@ FheRuntime::runComposite(
                 instr.op != FheOpcode::PackPlain) {
                 continue;
             }
-            for (int r = 0; r < num_regions; ++r) {
+            for (int r = 0; r < num_lanes; ++r) {
                 const int lane = r - member.lane_base;
                 const ir::Env& env =
                     (lane >= 0 && lane < member.lane_count)
                         ? *lanes[static_cast<std::size_t>(lane)]
                         : *lanes.front();
                 regions[static_cast<std::size_t>(r)] =
-                    packLaneRegion(instr, env, stride);
+                    packLaneRegion(instr, env, lane_stride);
             }
-            fhe::Plaintext plain = scheme_.encodeLanes(regions, stride);
+            fhe::Plaintext plain = scheme_.encodeLanes(regions, lane_stride);
             if (instr.op == FheOpcode::PackCipher) {
                 cts.emplace(instr.dst, scheme_.encrypt(plain));
             } else {
                 plains.emplace(instr.dst, std::move(plain));
             }
         }
-    }
-
-    // Every member's output register must survive to the readout below.
-    std::vector<int> protected_regs;
-    protected_regs.reserve(composite.members.size());
-    for (const CompositeMember& member : composite.members) {
+        // Every member's output register must survive to the readout.
         protected_regs.push_back(member.output_reg);
     }
 
     result.setup_seconds = setup_watch.elapsedSeconds();
     result.exec_seconds =
-        evaluateServer(program, composite.plan, cts, plains, protected_regs,
+        evaluateServer(program, plan, cts, plains, protected_regs,
                        result.fresh_noise_budget, &result.mod_switch_drops);
     const Stopwatch decode_watch;
 
     // Per-member readout: each member's output lives in its own
-    // (renamed) register, so noise accounting is per member; the shared
-    // result reports the minimum so the caller's exhausted-budget
-    // fallback stays conservative.
-    result.final_noise_budget = result.fresh_noise_budget;
-    for (const CompositeMember& member : composite.members) {
+    // register, so noise accounting is per member; the shared result
+    // reports the minimum so the caller's exhausted-budget fallback
+    // stays conservative.
+    for (const CompositeMember& member : members) {
         if (cts.count(member.output_reg)) {
             const fhe::Ciphertext& out = cts.at(member.output_reg);
-            const int budget = scheme_.noiseBudgetBits(out);
-            composite_result.member_final_budgets.push_back(budget);
-            result.final_noise_budget =
-                std::min(result.final_noise_budget, budget);
-            composite_result.member_outputs.push_back(scheme_.decryptLanes(
-                out, stride, member.output_width, member.lane_count,
+            row.member_final_budgets.push_back(scheme_.noiseBudgetBits(out));
+            row.member_outputs.push_back(scheme_.decryptLanes(
+                out, lane_stride, member.output_width, member.lane_count,
                 member.lane_base));
         } else {
             // All-plaintext member: nothing homomorphic ran for it.
-            composite_result.member_final_budgets.push_back(
-                result.fresh_noise_budget);
-            composite_result.member_outputs.push_back(scheme_.decodeLanes(
-                plains.at(member.output_reg), stride, member.output_width,
-                member.lane_count, member.lane_base));
+            row.member_final_budgets.push_back(result.fresh_noise_budget);
+            row.member_outputs.push_back(scheme_.decodeLanes(
+                plains.at(member.output_reg), lane_stride,
+                member.output_width, member.lane_count, member.lane_base));
         }
     }
+    result.final_noise_budget = *std::min_element(
+        row.member_final_budgets.begin(), row.member_final_budgets.end());
     result.consumed_noise =
         result.fresh_noise_budget - result.final_noise_budget;
     result.decode_seconds = decode_watch.elapsedSeconds();
     recycleCiphertexts(cts);
-    return composite_result;
+    return row;
 }
 
 OpLatencies

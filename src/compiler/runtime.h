@@ -41,33 +41,28 @@ struct RunResult
     int mod_switch_drops = 0;
 };
 
-/// Outcome of executing one lane-packed program: the shared row's
-/// noise/latency accounting plus each lane's output slice. The noise
-/// fields describe the *shared* ciphertext — every lane's data rode the
-/// same row, so per-lane noise is by construction the row's noise.
-struct PackedRunResult
-{
-    RunResult shared; ///< output left empty; per-lane slices below.
-    std::vector<std::vector<std::int64_t>> lane_outputs;
-};
-
-/// One member of a cross-kernel composite: a contiguous slice of the
-/// composite instruction stream (one whole source program, registers
-/// renamed to a disjoint range) that owns a contiguous block of
-/// composite lanes. The member's real request lanes occupy composite
-/// lane indices [lane_base, lane_base + lane_count); every other
-/// region of the member's *own* ciphertexts is phantom-padded with a
-/// copy of its first lane, so each member's rows are fully laned and
-/// the per-member lane-safety certification carries over unchanged.
+/// One member of a ciphertext row: a contiguous slice of the row's
+/// instruction stream (one whole source program; in a cross-kernel
+/// composite its registers are renamed to a disjoint range) that owns a
+/// contiguous block of the row's lanes. The member's real request lanes
+/// occupy lane indices [lane_base, lane_base + lane_count); every other
+/// lane of the member's *own* ciphertexts is phantom-padded with a copy
+/// of its first lane, so each member's rows are fully laned and the
+/// per-member lane-safety certification carries over unchanged.
 struct CompositeMember
 {
     int instr_begin = 0; ///< First instruction of this member's slice.
     int instr_end = 0;   ///< One past the last instruction.
-    int lane_base = 0;   ///< First composite lane this member owns.
+    int lane_base = 0;   ///< First lane this member owns.
     int lane_count = 0;  ///< Request lanes this member carries.
-    int output_reg = -1; ///< Renamed output register.
+    int output_reg = -1; ///< Output register (renamed in a composite).
     int output_width = 1;
 };
+
+/// The layout of a row that runs \p program alone: one member spanning
+/// every instruction, with \p lane_count lanes from lane 0.
+CompositeMember wholeProgramMember(const FheProgram& program,
+                                   int lane_count = 1);
 
 /// A cross-kernel composite program: the concatenation of several
 /// members' scheduled instruction streams over one shared register
@@ -84,11 +79,11 @@ struct CompositeProgram
     int lane_stride = 0;  ///< Common power-of-two stride of all lanes.
 };
 
-/// Outcome of executing one composite: shared accounting (the reported
-/// final budget is the minimum over the members' output ciphertexts)
-/// plus, per member, its own final noise budget and its lanes' output
-/// slices.
-struct CompositeRunResult
+/// Outcome of executing one row (FheRuntime::runRow): shared
+/// accounting (the reported final budget is the minimum over the
+/// members' output ciphertexts) plus, per member, its own final noise
+/// budget and its lanes' output slices.
+struct RowRunResult
 {
     RunResult shared; ///< output left empty; per-member slices below.
     /// Final noise budget of each member's output ciphertext (<= 0
@@ -136,10 +131,11 @@ class FheRuntime
   public:
     explicit FheRuntime(fhe::SealLiteParams params = {});
 
-    /// Execute \p program with inputs from \p env. When
-    /// \p key_budget > 0, rotation keys are selected with the App. B NAF
-    /// pass under that budget and decomposed rotations run as sequences;
-    /// otherwise one key per distinct step is generated.
+    /// Execute \p program with inputs from \p env: a one-lane row at
+    /// lane stride slots(). When \p key_budget > 0, rotation keys are
+    /// selected with the App. B NAF pass under that budget and
+    /// decomposed rotations run as sequences; otherwise one key per
+    /// distinct step is generated.
     RunResult run(const FheProgram& program, const ir::Env& env,
                   int key_budget = 0);
 
@@ -149,34 +145,28 @@ class FheRuntime
     RunResult run(const FheProgram& program, const ir::Env& env,
                   const RotationKeyPlan& plan);
 
-    /// Execute \p program once with one input environment per lane,
-    /// each lane packed into its own \p lane_stride-slot region of the
-    /// shared ciphertext row, and extract every lane's first
-    /// output_width slots. The caller (the service's batch planner) is
-    /// responsible for having proven the program lane-safe at this
-    /// stride; this function only validates capacity. Replicated packs
-    /// replicate within each lane's region, non-replicated packs load
-    /// at the region base with the remainder of the region zeroed, and
-    /// plaintext masks repeat per region so every lane sees the same
-    /// mask the solo program would.
-    PackedRunResult runPacked(const FheProgram& program,
-                              const std::vector<const ir::Env*>& lanes,
-                              const RotationKeyPlan& plan,
-                              int lane_stride);
-
-    /// Execute a cross-kernel composite (see CompositeProgram) once:
-    /// the whole concatenated stream runs on this runtime under the
-    /// merged key plan, member m's pack instructions load
-    /// \p member_lanes[m]'s environments into its composite-lane block
-    /// (phantom-padding every other region of the member's ciphertexts
-    /// with its first lane), and each member's output register is
-    /// decrypted into per-lane slices. \p member_lanes[m].size() must
-    /// equal members[m].lane_count. The caller (the service's batch
-    /// planner) is responsible for having certified every member
-    /// lane-safe at the composite stride; this function only validates
-    /// the lane layout.
-    CompositeRunResult runComposite(
-        const CompositeProgram& composite,
+    /// Execute one ciphertext row: the single execution core behind
+    /// solo runs, packed rows and cross-kernel composites. The row is
+    /// cut into slots() / \p lane_stride lanes. Member m of \p members
+    /// owns an instruction slice of \p program (the slices tile the
+    /// program in order) and a lane block; its pack instructions load
+    /// \p member_lanes[m]'s environments into that block and copies of
+    /// its first lane everywhere else. The whole program then runs once
+    /// under \p plan, and each member's output register is read out per
+    /// lane. A solo run is one member with one lane at lane_stride =
+    /// slots(); a single-kernel packed row is one member from lane 0
+    /// (wholeProgramMember); a cross-kernel row is a CompositeProgram's
+    /// members under its merged plan. Within a lane, replicated packs
+    /// replicate across the lane's region, non-replicated packs load at
+    /// the region base with the rest zeroed, and plaintext masks repeat
+    /// per region, so every lane sees what the solo program would. The
+    /// caller (the service's batch planner) must have certified every
+    /// member lane-safe at \p lane_stride; this function validates the
+    /// layout and throws CompileError for a bad one before it indexes
+    /// a member slice or lane, or runs anything on the scheme.
+    RowRunResult runRow(
+        const FheProgram& program, const RotationKeyPlan& plan,
+        int lane_stride, const std::vector<CompositeMember>& members,
         const std::vector<std::vector<const ir::Env*>>& member_lanes);
 
     /// Microbenchmark the four op classes (median of \p reps).
@@ -208,13 +198,9 @@ class FheRuntime
     /// @}
 
   private:
-    /// The instruction's base pack pattern (width = slots.size()),
-    /// before any replication.
-    std::vector<std::int64_t> packBase(const FheInstr& instr,
-                                       const ir::Env& env) const;
-    std::vector<std::int64_t> packValues(const FheInstr& instr,
-                                         const ir::Env& env) const;
-    /// Lane l's region (length \p lane_stride) for \p instr.
+    /// Lane l's region (length \p lane_stride) for \p instr. The
+    /// row-layout check has already bounded the pack width by the
+    /// stride.
     std::vector<std::int64_t> packLaneRegion(const FheInstr& instr,
                                              const ir::Env& env,
                                              int lane_stride) const;
@@ -223,16 +209,16 @@ class FheRuntime
     /// arena-born buffers and the next run on this runtime mints
     /// replacements, so steady state never reaches zero allocations.
     void recycleCiphertexts(std::unordered_map<int, fhe::Ciphertext>& cts);
-    /// The timed server-side phase shared by run(), runPacked() and
-    /// runComposite(). When the program carries a mod-switch plan, each
-    /// marked point runs the deterministic noise gate
-    /// (compiler/modswitch.h) against \p fresh_noise_budget and, on
-    /// success, switches EVERY live ciphertext down one level in
-    /// lockstep (so binary ops always see equal levels — in a composite
-    /// this includes other members' ciphertexts, which is sound because
-    /// switching is exact per ciphertext). Drops taken are added to
-    /// \p mod_switch_drops. Registers in \p protected_regs (the
-    /// caller's output registers) are never consumed destructively;
+    /// The timed server-side phase of runRow(). When the program
+    /// carries a mod-switch plan, each marked point runs the
+    /// deterministic noise gate (compiler/modswitch.h) against
+    /// \p fresh_noise_budget and, on success, switches EVERY live
+    /// ciphertext down one level in lockstep (so binary ops always see
+    /// equal levels — in a composite this includes other members'
+    /// ciphertexts, which is sound because switching is exact per
+    /// ciphertext). Drops taken are added to \p mod_switch_drops.
+    /// Registers in \p protected_regs (the members' output
+    /// registers) are never consumed destructively;
     /// everything else is consumed at its last use and dead values are
     /// recycled eagerly (which also shrinks the mod-switch lockstep
     /// loop — sound, since switching is per-ciphertext independent and

@@ -483,8 +483,9 @@ SealLite::encode(const std::vector<std::int64_t>& values) const
                    : t - static_cast<std::uint64_t>(-v);
     }
 
-    // c_k = n^{-1} * sum_j v_j * zeta^{-e_j * k}   (exact inverse CRT,
-    // see DESIGN.md; O(n^2) on purpose — simple and obviously correct).
+    // c_k = n^{-1} * sum_j v_j * zeta^{-e_j * k}   (exact inverse CRT
+    // over the slot exponents e_j = 3^j mod 2n; O(n^2) on purpose —
+    // simple and obviously correct).
     Plaintext plain;
     plain.coeffs.assign(static_cast<std::size_t>(params_.n), 0);
     for (int k = 0; k < params_.n; ++k) {

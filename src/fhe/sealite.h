@@ -24,7 +24,7 @@
 /// (while noise bounds hold — the compiler pass gates drops on a
 /// deterministic noise simulation with margin).
 ///
-/// Substitution note (documented in DESIGN.md): the paper evaluates on
+/// Substitution note: the paper evaluates on
 /// BFV; we implement its sibling exact scheme BGV because BGV's multiply
 /// is computable entirely in 64-bit RNS arithmetic (BFV's t/q scaled
 /// multiply needs multi-precision polynomial arithmetic on the hot path).

@@ -9,10 +9,11 @@
 /// and an effective rotation-key budget, assigns each a contiguous
 /// *lane* (a lane_stride-slot region of the row), and hands full or
 /// window-expired groups back to the service, which executes each group
-/// once — via FheRuntime::runPacked when every lane runs the same
-/// compiled artifact, via FheRuntime::runComposite when the group mixes
-/// artifacts (cross-kernel packing) — and scatters per-lane output
-/// slices into the individual responses.
+/// once through FheRuntime::runRow — as one whole-program member when
+/// every lane runs the same compiled artifact, as the composeGroup()
+/// composite's members when the group mixes artifacts (cross-kernel
+/// packing) — and scatters per-lane output slices into the individual
+/// responses.
 ///
 /// Cross-kernel packing. With ServiceConfig::cross_kernel on, a row
 /// may be shared by requests running *different* compiled programs:

@@ -852,44 +852,35 @@ CompileService::executePacked(BatchPlanner::Group& group, int worker)
             poolFor(flat.front()->request.params).acquire();
         lease->scheme().reseedRandomness(seed);
 
-        // Run the row: one kernel -> the packed fast path; a mix of
-        // kernels -> the composed concatenation. Both produce the same
-        // shape: per-member final budgets and per-lane output slices.
-        std::vector<int> member_budgets;
-        std::vector<std::vector<std::vector<std::int64_t>>> member_outputs;
-        compiler::RunResult shared;
-        if (group.members.size() == 1) {
-            const BatchPlanner::GroupMember& member = group.members.front();
+        // Run the row once. A single-kernel row keeps its member's own
+        // program and key plan (a composite's merged plan could
+        // decompose rotations differently); a mix of kernels runs the
+        // composed concatenation under the merged plan.
+        std::vector<std::vector<const ir::Env*>> member_lanes;
+        member_lanes.reserve(group.members.size());
+        for (const BatchPlanner::GroupMember& member : group.members) {
             std::vector<const ir::Env*> envs;
             envs.reserve(member.lanes.size());
             for (const BatchLane& lane : member.lanes) {
                 envs.push_back(&lane.request.inputs);
             }
-            compiler::PackedRunResult packed =
-                lease->runPacked(member.compiled->program, envs,
-                                 member.plan, group.stride);
-            shared = std::move(packed.shared);
-            member_budgets.push_back(shared.final_noise_budget);
-            member_outputs.push_back(std::move(packed.lane_outputs));
-        } else {
-            std::shared_ptr<const compiler::CompositeProgram> composite =
-                compositeFor(group);
-            std::vector<std::vector<const ir::Env*>> member_lanes;
-            member_lanes.reserve(group.members.size());
-            for (const BatchPlanner::GroupMember& member : group.members) {
-                std::vector<const ir::Env*> envs;
-                envs.reserve(member.lanes.size());
-                for (const BatchLane& lane : member.lanes) {
-                    envs.push_back(&lane.request.inputs);
-                }
-                member_lanes.push_back(std::move(envs));
-            }
-            compiler::CompositeRunResult result =
-                lease->runComposite(*composite, member_lanes);
-            shared = std::move(result.shared);
-            member_budgets = std::move(result.member_final_budgets);
-            member_outputs = std::move(result.member_outputs);
+            member_lanes.push_back(std::move(envs));
         }
+        std::shared_ptr<const compiler::CompositeProgram> composite;
+        if (group.members.size() > 1) composite = compositeFor(group);
+        const BatchPlanner::GroupMember& first = group.members.front();
+        const compiler::RowRunResult row =
+            composite
+                ? lease->runRow(composite->program, composite->plan,
+                                composite->lane_stride, composite->members,
+                                member_lanes)
+                : lease->runRow(first.compiled->program, first.plan,
+                                group.stride,
+                                {compiler::wholeProgramMember(
+                                    first.compiled->program,
+                                    static_cast<int>(first.lanes.size()))},
+                                member_lanes);
+        const compiler::RunResult& shared = row.shared;
 
         const double seconds = exec_watch.elapsedSeconds();
         recordExecutePhases(worker, span_start,
@@ -917,7 +908,7 @@ CompileService::executePacked(BatchPlanner::Group& group, int worker)
 
         for (std::size_t m = 0; m < group.members.size(); ++m) {
             const BatchPlanner::GroupMember& member = group.members[m];
-            if (member_budgets[m] <= 0) {
+            if (row.member_final_budgets[m] <= 0) {
                 // This member's noise headroom ran out on the shared
                 // row (other lanes' messages fatten the multiply
                 // noise): its packed outputs are no longer
@@ -971,10 +962,11 @@ CompileService::executePacked(BatchPlanner::Group& group, int worker)
                 artifact.result = shared;
                 artifact.result.counts =
                     member.compiled->program.counts();
-                artifact.result.final_noise_budget = member_budgets[m];
+                artifact.result.final_noise_budget =
+                    row.member_final_budgets[m];
                 artifact.result.consumed_noise =
-                    shared.fresh_noise_budget - member_budgets[m];
-                artifact.result.output = member_outputs[m][l];
+                    shared.fresh_noise_budget - row.member_final_budgets[m];
+                artifact.result.output = row.member_outputs[m][l];
                 artifact.packed_lanes = group.total_lanes;
                 artifact.lane = member.lane_base + static_cast<int>(l);
                 {

@@ -297,8 +297,9 @@ class CompileService final : public ServiceApi
                      int worker);
 
     /// Execute a >= 2 lane group as one packed row (worker context):
-    /// FheRuntime::runPacked for a single-member group, the cross-kernel
-    /// composite path for a multi-member one.
+    /// one FheRuntime::runRow call — a single-member group as one
+    /// whole-program member under its own key plan, a multi-member
+    /// group as its cross-kernel composite under the merged plan.
     void executePacked(BatchPlanner::Group& group, int worker);
 
     /// The composite program for a canonicalized multi-member group,

@@ -9,6 +9,7 @@
 #include "compiler/pipeline.h"
 #include "compiler/runtime.h"
 #include "ir/parser.h"
+#include "support/error.h"
 #include "support/rng.h"
 
 namespace chehab::compiler {
@@ -154,6 +155,90 @@ TEST(RuntimeTest, NoiseConsumptionReported)
     EXPECT_GT(run.consumed_noise, 5);
     EXPECT_EQ(run.fresh_noise_budget,
               run.final_noise_budget + run.consumed_noise);
+}
+
+TEST(RuntimeTest, BadRowLayoutsThrowBeforeExecution)
+{
+    // The row core checks the member layout before it indexes the
+    // program or the lane environments: every malformed slice,
+    // register, lane block, width or stride raises CompileError.
+    const FheProgram program = schedule(ir::parse("(+ (* a b) c)"));
+    const int size = static_cast<int>(program.instrs.size());
+    ASSERT_GE(size, 3);
+    const ir::Env env = {{"a", 3}, {"b", 4}, {"c", 5}};
+    const RotationKeyPlan plan = effectiveKeyPlan(program, 0);
+    FheRuntime runtime(smallParams());
+    const int stride = 8; // 16 lanes in the 128-slot row.
+    auto runRow = [&](std::vector<CompositeMember> members, int envs = 1) {
+        return runtime.runRow(
+            program, plan, stride, members,
+            std::vector<std::vector<const ir::Env*>>(
+                members.size(), std::vector<const ir::Env*>(
+                                    static_cast<std::size_t>(envs), &env)));
+    };
+    const CompositeMember good = wholeProgramMember(program);
+    EXPECT_EQ(runRow({good}).member_outputs[0][0],
+              (std::vector<std::int64_t>{17}));
+
+    // Slices: past the end, short of the end, a gap at the start,
+    // negative, empty, overlapping and descending.
+    auto withSlice = [&good](int begin, int end) {
+        CompositeMember member = good;
+        member.instr_begin = begin;
+        member.instr_end = end;
+        return member;
+    };
+    EXPECT_THROW(runRow({withSlice(0, size + 1)}), CompileError);
+    EXPECT_THROW(runRow({withSlice(0, size - 1)}), CompileError);
+    EXPECT_THROW(runRow({withSlice(1, size)}), CompileError);
+    EXPECT_THROW(runRow({withSlice(-1, size)}), CompileError);
+    EXPECT_THROW(runRow({withSlice(0, 0)}), CompileError);
+    EXPECT_THROW(runRow({withSlice(0, 2), withSlice(1, size)}),
+                 CompileError);
+    EXPECT_THROW(runRow({withSlice(2, size), withSlice(0, 2)}),
+                 CompileError);
+
+    // Output registers outside [0, num_regs).
+    for (int reg : {-1, program.num_regs}) {
+        CompositeMember member = good;
+        member.output_reg = reg;
+        EXPECT_THROW(runRow({member}), CompileError) << reg;
+    }
+
+    // Lane blocks outside the row, empty, or without one environment
+    // per lane.
+    auto withLanes = [&good](int base, int count) {
+        CompositeMember member = good;
+        member.lane_base = base;
+        member.lane_count = count;
+        return member;
+    };
+    EXPECT_THROW(runRow({withLanes(-1, 1)}), CompileError);
+    EXPECT_THROW(runRow({withLanes(16, 1)}), CompileError);
+    EXPECT_THROW(runRow({withLanes(15, 2)}, 2), CompileError);
+    EXPECT_THROW(runRow({withLanes(0, 17)}, 17), CompileError);
+    EXPECT_THROW(runRow({withLanes(0, 0)}, 0), CompileError);
+    EXPECT_THROW(runRow({withLanes(0, 2)}, 1), CompileError);
+    EXPECT_THROW(runtime.runRow(program, plan, stride, {good}, {{nullptr}}),
+                 CompileError);
+    EXPECT_THROW(runtime.runRow(program, plan, stride, {good}, {}),
+                 CompileError);
+    EXPECT_THROW(runtime.runRow(program, plan, stride, {}, {}),
+                 CompileError);
+
+    // Output widths past the stride, and strides that do not tile the
+    // row.
+    for (int width : {-1, stride + 1}) {
+        CompositeMember member = good;
+        member.output_width = width;
+        EXPECT_THROW(runRow({member}), CompileError) << width;
+    }
+    for (int bad_stride : {0, -8, 3, 256}) {
+        EXPECT_THROW(
+            runtime.runRow(program, plan, bad_stride, {good}, {{&env}}),
+            CompileError)
+            << bad_stride;
+    }
 }
 
 TEST(RuntimeTest, CalibrationAndEstimate)

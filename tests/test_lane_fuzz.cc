@@ -12,10 +12,13 @@
 /// multiplies — and for every program:
 ///
 ///   - when analyzeLaneFit certifies a stride, executes the program
-///     packed (FheRuntime::runPacked, and cross-kernel composites via
-///     runComposite) and solo, and asserts bit-identical per-lane
-///     outputs whenever both executions keep a positive noise budget
-///     (the service's own fallback guard);
+///     as a packed row and solo (both through FheRuntime::runRow, the
+///     one row-execution core; cross-kernel composites too), and
+///     asserts bit-identical per-lane outputs whenever both executions
+///     keep a positive noise budget (the service's own fallback guard).
+///     Packed and solo rows differ only in layout — stride, lane count
+///     and phantom padding — so the comparison checks the lane-safety
+///     analysis, not a second implementation;
 ///   - when it refuses, asserts the refusal reason is populated.
 ///
 /// Seeds are fixed: every run checks the same programs. The default
@@ -195,15 +198,18 @@ expectPackedMatchesSolo(const FheProgram& program,
     lanes.reserve(envs.size());
     for (const ir::Env& env : envs) lanes.push_back(&env);
     compiler::FheRuntime packed_rt(fuzzParams());
-    const compiler::PackedRunResult packed =
-        packed_rt.runPacked(program, lanes, plan, stride);
+    const compiler::RowRunResult packed = packed_rt.runRow(
+        program, plan, stride,
+        {compiler::wholeProgramMember(program,
+                                      static_cast<int>(lanes.size()))},
+        {lanes});
     if (packed.shared.final_noise_budget <= 0) return false;
     for (std::size_t l = 0; l < envs.size(); ++l) {
         compiler::FheRuntime solo_rt(fuzzParams());
         const compiler::RunResult solo =
             solo_rt.run(program, envs[l], plan);
         if (solo.final_noise_budget <= 0) return false;
-        EXPECT_EQ(packed.lane_outputs[l], solo.output)
+        EXPECT_EQ(packed.member_outputs[0][l], solo.output)
             << context << " lane " << l;
     }
     return true;
@@ -350,8 +356,9 @@ fuzzCompositeVsSolo(std::uint32_t seed, int iterations)
             member_lanes.push_back(std::move(ptrs));
         }
         compiler::FheRuntime composite_rt(fuzzParams());
-        const compiler::CompositeRunResult result =
-            composite_rt.runComposite(composite, member_lanes);
+        const compiler::RowRunResult result = composite_rt.runRow(
+            composite.program, composite.plan, composite.lane_stride,
+            composite.members, member_lanes);
         ++composed;
         for (std::size_t m = 0; m < group.members.size(); ++m) {
             if (result.member_final_budgets[m] <= 0) continue;

@@ -437,50 +437,225 @@ TEST(ServiceBatchingTest, RotatedAperiodicConstantPackIsNotCertified)
     std::vector<ir::Env> envs(2);
     std::vector<const ir::Env*> lanes = {&envs[0], &envs[1]};
     compiler::FheRuntime packed_rt(smallParams());
-    const compiler::PackedRunResult packed =
-        packed_rt.runPacked(program, lanes, plan, fit.stride);
+    const compiler::RowRunResult packed = packed_rt.runRow(
+        program, plan, fit.stride,
+        {compiler::wholeProgramMember(program, 2)}, {lanes});
     compiler::FheRuntime solo_rt(smallParams());
     const compiler::RunResult solo = solo_rt.run(program, envs[0], plan);
-    EXPECT_EQ(packed.lane_outputs[0], solo.output);
-    EXPECT_EQ(packed.lane_outputs[1], solo.output);
+    EXPECT_EQ(packed.member_outputs[0][0], solo.output);
+    EXPECT_EQ(packed.member_outputs[0][1], solo.output);
     EXPECT_EQ(solo.output, (std::vector<std::int64_t>{7, 9, 0, 0}));
 }
 
-TEST(ServiceBatchingTest, RunPackedMatchesSoloRunsDirectly)
+/// Noise and key accounting of one row execution.
+struct Accounting
 {
-    // Runtime-level check, bypassing the service: three lanes packed in
-    // one row equal three solo runs, output for output.
+    int final_budget = 0;
+    int consumed = 0;
+    int rotation_keys = 0;
+    int drops = 0;
+
+    bool operator==(const Accounting& other) const
+    {
+        return final_budget == other.final_budget &&
+               consumed == other.consumed &&
+               rotation_keys == other.rotation_keys &&
+               drops == other.drops;
+    }
+};
+
+std::ostream&
+operator<<(std::ostream& os, const Accounting& a)
+{
+    return os << "{" << a.final_budget << ", " << a.consumed << ", "
+              << a.rotation_keys << ", " << a.drops << "}";
+}
+
+Accounting
+accountingOf(const compiler::RunResult& result)
+{
+    return {result.final_noise_budget, result.consumed_noise,
+            result.rotation_keys, result.mod_switch_drops};
+}
+
+compiler::Compiled
+compileForRow(const ir::ExprPtr& source, bool mod_switch)
+{
     const trs::Ruleset ruleset = trs::buildChehabRuleset();
     const compiler::CompilerDriver driver(&ruleset);
-    const ir::ExprPtr source = ir::parse(dotSource(8));
-    const compiler::Compiled compiled =
-        driver.compile(compiler::canonicalize(source),
-                       compiler::DriverConfig::greedy({}, 20));
-    const compiler::RotationKeyPlan plan =
-        compiler::effectiveKeyPlan(compiled.program, 0);
-    const LaneFit fit = analyzeLaneFit(compiled.program, plan, 128);
-    ASSERT_TRUE(fit.safe) << fit.reason;
+    compiler::DriverConfig config = compiler::DriverConfig::greedy({}, 20);
+    if (mod_switch) config.passes.push_back("mod-switch");
+    return driver.compile(compiler::canonicalize(source), config);
+}
 
-    std::vector<ir::Env> envs;
-    for (int i = 0; i < 3; ++i) envs.push_back(inputsFor(source, i));
+/// Lane environment pointers for \p envs, in order.
+std::vector<const ir::Env*>
+lanePointers(const std::vector<ir::Env>& envs)
+{
     std::vector<const ir::Env*> lanes;
     for (const ir::Env& env : envs) lanes.push_back(&env);
+    return lanes;
+}
 
-    compiler::FheRuntime packed_rt(smallParams());
-    const compiler::PackedRunResult packed =
-        packed_rt.runPacked(compiled.program, lanes, plan, fit.stride);
-    ASSERT_EQ(packed.lane_outputs.size(), 3u);
-    EXPECT_GT(packed.shared.final_noise_budget, 0);
-
-    for (int i = 0; i < 3; ++i) {
-        compiler::FheRuntime solo_rt(smallParams());
-        const compiler::RunResult solo =
-            solo_rt.run(compiled.program, envs[static_cast<std::size_t>(i)],
-                        plan);
-        EXPECT_EQ(packed.lane_outputs[static_cast<std::size_t>(i)],
-                  solo.output)
-            << "lane " << i;
+/// Expects \p output to start with the reference evaluator's value of
+/// \p source under \p env (a scalar result sits in slot 0 of a wider
+/// readout) and folds every decoded slot into \p digest.
+void
+expectReference(const std::vector<std::int64_t>& output,
+                const ir::ExprPtr& source, const ir::Env& env,
+                std::uint64_t& digest)
+{
+    const std::vector<std::int64_t> expected =
+        ir::Evaluator().evaluate(source, env).slots;
+    ASSERT_GE(output.size(), expected.size());
+    EXPECT_EQ(std::vector<std::int64_t>(
+                  output.begin(),
+                  output.begin() +
+                      static_cast<std::ptrdiff_t>(expected.size())),
+              expected);
+    for (std::int64_t v : output) {
+        digest = digest * 31 + static_cast<std::uint64_t>(v);
     }
+}
+
+/// One kernel of the runtime-level row test, with the accounting its
+/// solo run (lane 0's inputs) and its three-lane packed row report.
+/// The pinned numbers are the ones solo, packed and cross-kernel rows
+/// produced when each still had its own run path. Outputs must equal
+/// the reference evaluator's; a digest over every decoded slot pins
+/// the readout past the result's own width too.
+struct PinnedKernel
+{
+    std::string name;
+    ir::ExprPtr source;
+    bool mod_switch = false;
+    Accounting solo;
+    Accounting packed;
+};
+
+TEST(ServiceBatchingTest, RowRunsMatchEvaluatorAndPinnedAccounting)
+{
+    // Runtime-level check, bypassing the service: solo runs and
+    // three-lane packed rows of dot-8 and the Fig. 5 kernels at small
+    // parameters (with mod-switch on for the Fig. 5 ones).
+    const std::vector<PinnedKernel> kernels = {
+        {"dot-8", ir::parse(dotSource(8)), false, {76, 23, 3, 0},
+         {76, 23, 3, 0}},
+        {"dot-4", benchsuite::dotProduct(4).program, true, {49, 50, 2, 1},
+         {49, 50, 2, 1}},
+        {"hamming-4", benchsuite::hammingDistance(4).program, true,
+         {37, 62, 2, 1}, {36, 63, 2, 1}},
+        {"l2-4", benchsuite::l2Distance(4).program, true, {49, 50, 2, 1},
+         {49, 50, 2, 1}},
+        {"linreg-4", benchsuite::linearReg(4).program, true,
+         {24, 75, 0, 2}, {24, 75, 0, 2}},
+        {"polyreg-4", benchsuite::polyReg(4).program, true,
+         {40, 59, 0, 1}, {40, 59, 0, 1}},
+        {"box-blur-3", benchsuite::boxBlur(3).program, true,
+         {78, 21, 3, 0}, {78, 21, 3, 0}},
+        {"roberts-2", benchsuite::robertsCross(2).program, true,
+         {50, 49, 1, 1}, {50, 49, 1, 1}},
+        {"matmul-2", benchsuite::matMul(2).program, true, {50, 49, 1, 1},
+         {50, 49, 1, 1}},
+        {"max-4", benchsuite::maxKernel(4).program, true, {34, 65, 0, 0},
+         {34, 65, 0, 0}},
+    };
+    std::uint64_t digest = 0;
+    for (const PinnedKernel& kernel : kernels) {
+        SCOPED_TRACE(kernel.name);
+        const compiler::Compiled compiled =
+            compileForRow(kernel.source, kernel.mod_switch);
+        const compiler::RotationKeyPlan plan =
+            compiler::effectiveKeyPlan(compiled.program, 0);
+        const LaneFit fit = analyzeLaneFit(compiled.program, plan, 128);
+        ASSERT_TRUE(fit.safe) << fit.reason;
+        ASSERT_GE(fit.max_lanes, 3);
+
+        std::vector<ir::Env> envs;
+        for (int i = 0; i < 3; ++i) {
+            envs.push_back(inputsFor(kernel.source, i));
+        }
+        compiler::FheRuntime packed_rt(smallParams());
+        const compiler::RowRunResult packed = packed_rt.runRow(
+            compiled.program, plan, fit.stride,
+            {compiler::wholeProgramMember(compiled.program, 3)},
+            {lanePointers(envs)});
+        ASSERT_EQ(packed.member_outputs.size(), 1u);
+        ASSERT_EQ(packed.member_outputs[0].size(), 3u);
+        EXPECT_GT(packed.shared.final_noise_budget, 0);
+        EXPECT_EQ(accountingOf(packed.shared), kernel.packed);
+
+        for (std::size_t i = 0; i < envs.size(); ++i) {
+            SCOPED_TRACE("lane " + std::to_string(i));
+            compiler::FheRuntime solo_rt(smallParams());
+            const compiler::RunResult solo =
+                solo_rt.run(compiled.program, envs[i], plan);
+            expectReference(solo.output, kernel.source, envs[i], digest);
+            expectReference(packed.member_outputs[0][i], kernel.source,
+                            envs[i], digest);
+            EXPECT_EQ(packed.member_outputs[0][i], solo.output);
+            if (i == 0) EXPECT_EQ(accountingOf(solo), kernel.solo);
+        }
+    }
+
+    // A two-member cross-kernel row: box-blur-3 on lanes 0-1 and
+    // linreg-4 on lane 2, at the larger of the two certified strides.
+    const std::vector<ir::ExprPtr> sources = {
+        benchsuite::boxBlur(3).program, benchsuite::linearReg(4).program};
+    const std::vector<int> lane_counts = {2, 1};
+    std::vector<compiler::Compiled> artifacts;
+    artifacts.reserve(sources.size());
+    std::vector<std::vector<ir::Env>> member_envs;
+    BatchPlanner::Group group;
+    group.row_slots = 128;
+    for (std::size_t m = 0; m < sources.size(); ++m) {
+        artifacts.push_back(compileForRow(sources[m], true));
+        BatchPlanner::GroupMember member;
+        member.compile.source.hi = m; // Synthetic, distinct.
+        member.compiled = &artifacts.back();
+        member.plan = compiler::effectiveKeyPlan(artifacts.back().program, 0);
+        member.min_stride =
+            analyzeLaneFit(artifacts.back().program, member.plan, 128).stride;
+        member.lane_base = group.total_lanes;
+        member.lanes.resize(static_cast<std::size_t>(lane_counts[m]));
+        group.stride = std::max(group.stride, member.min_stride);
+        if (m == 0) {
+            group.merged_plan = member.plan;
+        } else {
+            std::optional<compiler::RotationKeyPlan> merged =
+                mergeKeyPlans(group.merged_plan, member.plan);
+            ASSERT_TRUE(merged.has_value());
+            group.merged_plan = std::move(*merged);
+        }
+        std::vector<ir::Env> envs;
+        for (int l = 0; l < lane_counts[m]; ++l) {
+            envs.push_back(inputsFor(sources[m], group.total_lanes + l));
+        }
+        member_envs.push_back(std::move(envs));
+        group.total_lanes += lane_counts[m];
+        group.members.push_back(std::move(member));
+    }
+    ASSERT_EQ(group.stride, 32);
+    const compiler::CompositeProgram composite = composeGroup(group);
+    std::vector<std::vector<const ir::Env*>> member_lanes;
+    for (const std::vector<ir::Env>& envs : member_envs) {
+        member_lanes.push_back(lanePointers(envs));
+    }
+    compiler::FheRuntime composite_rt(smallParams());
+    const compiler::RowRunResult row = composite_rt.runRow(
+        composite.program, composite.plan, composite.lane_stride,
+        composite.members, member_lanes);
+    EXPECT_EQ(accountingOf(row.shared), (Accounting{24, 75, 3, 2}));
+    EXPECT_EQ(row.member_final_budgets, (std::vector<int>{24, 24}));
+    for (std::size_t m = 0; m < sources.size(); ++m) {
+        for (std::size_t l = 0; l < member_envs[m].size(); ++l) {
+            SCOPED_TRACE("member " + std::to_string(m) + " lane " +
+                         std::to_string(l));
+            expectReference(row.member_outputs[m][l], sources[m],
+                            member_envs[m][l], digest);
+        }
+    }
+    EXPECT_EQ(digest, 582819297321636355u);
 }
 
 // ---- cross-kernel packing ---------------------------------------------
