@@ -72,9 +72,10 @@
 ///                   each request's enqueue -> dispatch -> compile/
 ///                   execute span tree per worker track
 ///   --stats-json PATH write one service-wide snapshot as JSON: config,
-///                   throughput, every service counter, and per-phase
-///                   latency percentiles (qwait_p50/p99, exec_p50/p99,
-///                   window_wait_p99, ...)
+///                   throughput, every service counter, the
+///                   process-wide key-material registry counters, and
+///                   per-phase latency percentiles (qwait_p50/p99,
+///                   exec_p50/p99, window_wait_p99, ...)
 ///   --cache-dir PATH  on-disk persistence root (service/persist.h):
 ///                   compiled artifacts are stored content-addressed
 ///                   and reloaded on cache misses — a second chehabd
@@ -122,6 +123,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -132,6 +134,7 @@
 #include "common.h"
 #include "dataset/dataset.h"
 #include "fhe/ntt.h"
+#include "fhe/sealite.h"
 #include "dataset/motif_gen.h"
 #include "ir/parser.h"
 #include "rl/agent.h"
@@ -456,6 +459,12 @@ writeStatsJson(std::ostream& out, const Options& options,
         << ", \"share_preferred\": " << stats.load_model.share_preferred
         << ", \"solo_preferred\": " << stats.load_model.solo_preferred
         << "},\n";
+    // Process-wide, so once here rather than per shard: every shard's
+    // runtimes share the same registry entries.
+    const fhe::KeyMaterialCacheStats keys = fhe::keyMaterialCacheStats();
+    out << "  \"key_material\": {\"live_entries\": " << keys.live_entries
+        << ", \"hits\": " << keys.hits << ", \"misses\": " << keys.misses
+        << "},\n";
     out << "  \"pool\": {\"tasks_run\": " << stats.pool.tasks_run
         << ", \"busy_s\": " << stats.pool.busy_seconds << "},\n";
     const service::RouterStats router = sharded.routerStats();
@@ -582,6 +591,9 @@ main(int argc, char** argv)
 
     // ---- assemble the kernel list -------------------------------------
     std::vector<NamedKernel> kernels;
+    // A file that does not parse is one failed request of the batch;
+    // the other kernels still run.
+    std::vector<service::RunResponse> rejected;
     for (const std::string& path : options.files) {
         std::string text;
         if (path == "-") {
@@ -606,7 +618,11 @@ main(int argc, char** argv)
         } catch (const std::exception& e) {
             std::fprintf(stderr, "chehabd: %s: %s\n", kernel.name.c_str(),
                          e.what());
-            return 1;
+            service::RunResponse failed;
+            failed.name = kernel.name;
+            failed.error = e.what();
+            rejected.push_back(std::move(failed));
+            continue;
         }
         kernels.push_back(std::move(kernel));
     }
@@ -748,6 +764,9 @@ main(int argc, char** argv)
         }
     }
     const double wall_seconds = wall.elapsedSeconds();
+    responses.insert(responses.end(),
+                     std::make_move_iterator(rejected.begin()),
+                     std::make_move_iterator(rejected.end()));
     // The last future resolves from inside its worker task; wait for
     // the task epilogues too so the stats snapshot and the exported
     // trace carry every span (wall_seconds above intentionally stops

@@ -1,13 +1,92 @@
 #include "fhe/sealite.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <map>
 #include <mutex>
+#include <tuple>
 
 #include "fhe/modarith.h"
 #include "support/error.h"
 
 namespace chehab::fhe {
+
+struct SealLite::KeyMaterial
+{
+    /// Guards the one-time build of the fields below and every access
+    /// to `galois`; the rest is immutable once `built` is set.
+    std::mutex mutex;
+    bool built = false;
+    RnsPoly secret_rns;
+    NttForm secret_ntt; ///< Cached NTT form of s.
+    KeySwitchKey relin;
+    /// The randomness stream as keygen left it: a constructor that
+    /// finds the keys built starts from here, exactly where one that
+    /// built them would.
+    Rng rng_after_keygen;
+    std::unordered_map<int, std::shared_ptr<const KeySwitchKey>> galois;
+};
+
+namespace {
+
+std::atomic<std::uint64_t> key_entries_live{0};
+std::atomic<std::uint64_t> key_hits{0};
+std::atomic<std::uint64_t> key_misses{0};
+
+void
+countKeyLookup(bool hit)
+{
+    (hit ? key_hits : key_misses).fetch_add(1, std::memory_order_relaxed);
+}
+
+} // namespace
+
+KeyMaterialCacheStats
+keyMaterialCacheStats()
+{
+    KeyMaterialCacheStats stats;
+    stats.live_entries = key_entries_live.load(std::memory_order_relaxed);
+    stats.hits = key_hits.load(std::memory_order_relaxed);
+    stats.misses = key_misses.load(std::memory_order_relaxed);
+    return stats;
+}
+
+std::shared_ptr<SealLite::KeyMaterial>
+SealLite::acquireKeyMaterial(const SealLiteParams& params)
+{
+    // Keyed by every params field: any difference changes the keys.
+    using Id = std::tuple<int, int, int, std::uint64_t, std::uint64_t,
+                          int, int>;
+    static std::mutex mutex;
+    static std::map<Id, std::weak_ptr<KeyMaterial>> entries;
+    const Id id{params.n,           params.prime_bits,
+                params.prime_count, params.plain_modulus,
+                params.seed,        params.error_stddev_x10,
+                params.decomp_bits};
+    std::lock_guard<std::mutex> lock(mutex);
+    std::weak_ptr<KeyMaterial>& slot = entries[id];
+    if (std::shared_ptr<KeyMaterial> live = slot.lock()) return live;
+    // The last instance's release unregisters the entry, so untrusted
+    // params cannot grow the registry past the live instances. A
+    // successor may already occupy the slot by then; it is not expired
+    // and stays.
+    const auto release = [id](KeyMaterial* dead) {
+        {
+            std::lock_guard<std::mutex> unregister(mutex);
+            const auto it = entries.find(id);
+            if (it != entries.end() && it->second.expired()) {
+                entries.erase(it);
+            }
+            key_entries_live.store(entries.size(), std::memory_order_relaxed);
+        }
+        delete dead;
+    };
+    std::shared_ptr<KeyMaterial> entry(new KeyMaterial, release);
+    slot = entry;
+    key_entries_live.store(entries.size(), std::memory_order_relaxed);
+    return entry;
+}
 
 SealLite::SealLite(SealLiteParams params)
     : params_(params), rng_(params.seed)
@@ -95,11 +174,21 @@ SealLite::SealLite(SealLiteParams params)
     }
     inv_n_mod_t_ = invMod(n % t, t);
 
-    // Key material.
-    secret_ = sampleTernary();
-    secret_rns_ = liftSmall(secret_);
-    secret_ntt_ = toNttForm(secret_rns_);
-    relin_key_ = makeKeySwitchKey(mulPoly(secret_rns_, secret_rns_));
+    // Key material: built by the first live instance of these params,
+    // shared by the rest.
+    keys_ = acquireKeyMaterial(params_);
+    std::lock_guard<std::mutex> lock(keys_->mutex);
+    countKeyLookup(keys_->built);
+    if (keys_->built) {
+        rng_ = keys_->rng_after_keygen;
+        return;
+    }
+    keys_->secret_rns = liftSmall(sampleTernary());
+    keys_->secret_ntt = toNttForm(keys_->secret_rns);
+    keys_->relin = makeKeySwitchKey(
+        mulPoly(keys_->secret_rns, keys_->secret_rns));
+    keys_->rng_after_keygen = rng_;
+    keys_->built = true;
 }
 
 int
@@ -590,7 +679,7 @@ SealLite::encrypt(const Plaintext& plain)
     Ciphertext ct;
     ct.c1 = uniformPoly();
     // c0 = -(a*s) + t*e + m.
-    ct.c0 = mulPolyNtt(ct.c1, secret_ntt_);
+    ct.c0 = mulPolyNtt(ct.c1, keys_->secret_ntt);
     negateInPlace(ct.c0);
     std::vector<int> error = sampleError();
     const auto t = static_cast<int>(params_.plain_modulus);
@@ -627,7 +716,7 @@ SealLite::decryptPlain(const Ciphertext& ct) const
     // v = c0 + c1*s mod q; m = (centered v) mod t. q here is the
     // ciphertext's *current* chain product — decryption works at every
     // level.
-    RnsPoly v = mulPolyNtt(ct.c1, secret_ntt_);
+    RnsPoly v = mulPolyNtt(ct.c1, keys_->secret_ntt);
     addInPlace(v, ct.c0);
 
     const std::uint64_t t = params_.plain_modulus;
@@ -783,7 +872,7 @@ SealLite::makeKeySwitchKey(const RnsPoly& target)
         const std::uint64_t p_i = primes_[static_cast<std::size_t>(i)];
         for (int d = 0; d < digits; ++d) {
             RnsPoly a_id = uniformPoly();
-            RnsPoly b_id = mulPolyNtt(a_id, secret_ntt_);
+            RnsPoly b_id = mulPolyNtt(a_id, keys_->secret_ntt);
             negateInPlace(b_id);
             std::vector<int> error = sampleError();
             for (auto& e : error) e *= t;
@@ -916,7 +1005,7 @@ SealLite::multiply(const Ciphertext& a, const Ciphertext& b) const
     Ciphertext out;
     out.c0 = std::move(e0);
     out.c1 = std::move(e1);
-    keySwitch(e2, relin_key_, out.c0, out.c1);
+    keySwitch(e2, keys_->relin, out.c0, out.c1);
     recycle(std::move(e2));
     return out;
 }
@@ -939,18 +1028,24 @@ SealLite::makeGaloisKeys(const std::vector<int>& steps)
         if (normalized == 0 || galois_keys_.count(normalized)) continue;
         const std::uint64_t g = galoisElement(normalized);
         galois_elements_[normalized] = g;
-        // Key randomness is a pure function of (params seed, step): park
-        // the main stream, generate from a step-derived seed, restore.
-        // This keeps a key for step s bit-identical across schemes and
-        // generation orders (see the header contract).
-        const Rng saved = rng_;
-        rng_.reseed(params_.seed ^
-                    (0x9e3779b97f4a7c15ULL *
-                     static_cast<std::uint64_t>(normalized + 1)));
-        galois_keys_.emplace(normalized,
-                             makeKeySwitchKey(applyAutomorphism(
-                                 secret_rns_, g)));
-        rng_ = saved;
+        std::lock_guard<std::mutex> lock(keys_->mutex);
+        std::shared_ptr<const KeySwitchKey>& shared =
+            keys_->galois[normalized];
+        countKeyLookup(shared != nullptr);
+        if (!shared) {
+            // Key randomness is a pure function of (params seed, step):
+            // park the main stream, generate from a step-derived seed,
+            // restore. This keeps a key for step s bit-identical across
+            // schemes and generation orders (see the header contract).
+            const Rng saved = rng_;
+            rng_.reseed(params_.seed ^
+                        (0x9e3779b97f4a7c15ULL *
+                         static_cast<std::uint64_t>(normalized + 1)));
+            shared = std::make_shared<const KeySwitchKey>(makeKeySwitchKey(
+                applyAutomorphism(keys_->secret_rns, g)));
+            rng_ = saved;
+        }
+        galois_keys_.emplace(normalized, shared);
     }
 }
 
@@ -977,7 +1072,7 @@ SealLite::rotate(const Ciphertext& a, int step) const
     out.c0 = applyAutomorphism(a.c0, g);
     out.c1 = zeroPoly(a.c0.k);
     RnsPoly rotated_c1 = applyAutomorphism(a.c1, g);
-    keySwitch(rotated_c1, key_it->second, out.c0, out.c1);
+    keySwitch(rotated_c1, *key_it->second, out.c0, out.c1);
     recycle(std::move(rotated_c1));
     return out;
 }
@@ -989,7 +1084,7 @@ SealLite::rotate(const Ciphertext& a, int step) const
 int
 SealLite::noiseBudgetBits(const Ciphertext& ct) const
 {
-    RnsPoly v = mulPolyNtt(ct.c1, secret_ntt_);
+    RnsPoly v = mulPolyNtt(ct.c1, keys_->secret_ntt);
     addInPlace(v, ct.c0);
     const LevelTables& tab =
         level_tables_[static_cast<std::size_t>(v.k) - 1];

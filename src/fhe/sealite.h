@@ -51,7 +51,9 @@
 
 namespace chehab::fhe {
 
-/// Encryption parameters.
+/// Encryption parameters. Every field is part of the key-material
+/// registry key (sealite.cc) and of service::paramsFingerprint: a new
+/// field must join both.
 struct SealLiteParams
 {
     int n = 1024;                     ///< Polynomial modulus degree.
@@ -119,7 +121,9 @@ struct Ciphertext
 
 /// Context + key material + evaluator in one object (SealLite is small
 /// enough that SEAL's context/keygen/encryptor/evaluator split would be
-/// ceremony; the method names mirror SEAL's).
+/// ceremony; the method names mirror SEAL's). The key material is not
+/// per object: every live instance of one parameter set shares a
+/// single copy (see keyMaterialCacheStats).
 class SealLite
 {
   public:
@@ -240,22 +244,29 @@ class SealLite
     /// @}
 
     /// Re-seed the encryption/error randomness stream. Key material
-    /// (secret, relinearization and Galois keys) is unaffected: the
-    /// secret and relin keys are fixed at construction, and Galois keys
-    /// derive their randomness from (params seed, step) alone. The
-    /// service's runtime pool reseeds per request so a pooled, reused
-    /// scheme produces bit-identical noise accounting regardless of
-    /// which requests ran on it before.
+    /// (secret, relinearization and Galois keys) is unaffected: it is
+    /// a pure function of the params (Galois keys of (params, step)),
+    /// shared process-wide through the key-material registry (see
+    /// keyMaterialCacheStats), and never drawn from this stream after
+    /// construction. Construction leaves the stream in the same
+    /// post-keygen state whether it generated the keys or found them in
+    /// the registry. The service's runtime pool reseeds per request so
+    /// a pooled, reused scheme produces bit-identical noise accounting
+    /// regardless of which requests ran on it before.
     void reseedRandomness(std::uint64_t seed) { rng_.reseed(seed); }
 
     /// \name Rotation (Galois) keys — App. B's χ set feeds this.
     /// @{
-    /// Generate keys for \p steps (already-present steps are skipped).
-    /// Each key's randomness is derived deterministically from the
-    /// params seed and the step, so the key for a given step is
-    /// bit-identical no matter when or in what order it is generated —
-    /// pooled runtimes can accumulate keys across requests without
-    /// becoming history-dependent.
+    /// Make keys for \p steps available to this instance
+    /// (already-present steps are skipped). Each key's randomness is
+    /// derived deterministically from the params seed and the step, so
+    /// the key for a given step is bit-identical no matter when, in
+    /// what order, or on which instance it is generated. Keys live in
+    /// the process-wide registry entry for these params: a step some
+    /// live instance already built is shared, not regenerated, and each
+    /// (params, step) key is generated once per entry lifetime under
+    /// the entry's lock. hasGaloisKey/numGaloisKeys still report only
+    /// the steps requested on this instance.
     void makeGaloisKeys(const std::vector<int>& steps);
     bool hasGaloisKey(int step) const;
     int numGaloisKeys() const { return static_cast<int>(galois_keys_.size()); }
@@ -272,6 +283,11 @@ class SealLite
     /// @}
 
   private:
+    /// Registry entry: the immutable key material of one parameter
+    /// set, shared by every live instance with those params (defined in
+    /// sealite.cc).
+    struct KeyMaterial;
+
     struct KeySwitchKey
     {
         // One (b, a) pair per (RNS prime, base-2^w digit) combination:
@@ -349,6 +365,10 @@ class SealLite
     /// CRT-recompose coefficient \p index of \p poly at poly's level.
     BigInt recomposeCoeff(const RnsPoly& poly, int index) const;
 
+    /// The live registry entry for \p params, or a fresh empty one.
+    static std::shared_ptr<KeyMaterial>
+    acquireKeyMaterial(const SealLiteParams& params);
+
     SealLiteParams params_;
     std::vector<std::uint64_t> primes_;
     /// Shared process-wide tables (see acquireNttTables).
@@ -364,11 +384,12 @@ class SealLite
     std::vector<int> slot_exponents_;          ///< e_j = 3^j mod 2n (row 0).
     std::uint64_t inv_n_mod_t_ = 0;
 
-    std::vector<int> secret_;                  ///< Ternary secret key.
-    RnsPoly secret_rns_;
-    NttForm secret_ntt_;                       ///< Cached NTT form of s.
-    KeySwitchKey relin_key_;
-    std::unordered_map<int, KeySwitchKey> galois_keys_;
+    /// Secret, relin key and Galois key store, shared with every other
+    /// live instance of the same params.
+    std::shared_ptr<KeyMaterial> keys_;
+    /// Steps requested on this instance (see makeGaloisKeys).
+    std::unordered_map<int, std::shared_ptr<const KeySwitchKey>>
+        galois_keys_;
     std::unordered_map<int, std::uint64_t> galois_elements_;
     Rng rng_;
     int fresh_budget_ = -1;
@@ -392,5 +413,19 @@ class SealLite
     /// const evaluator methods acquire and release scratch.
     mutable PolyArena arena_;
 };
+
+/// Process-wide key-material registry counters. Entries are keyed by
+/// every SealLiteParams field and live exactly as long as some SealLite
+/// with those params does, so the registry needs no capacity bound.
+/// One lookup is one construction (secret + relin key) or one
+/// makeGaloisKeys step that this instance did not hold yet.
+struct KeyMaterialCacheStats
+{
+    /// Registered entries: parameter sets with a live instance.
+    std::uint64_t live_entries = 0;
+    std::uint64_t hits = 0;   ///< Lookups served by a live entry.
+    std::uint64_t misses = 0; ///< Lookups that generated the key.
+};
+KeyMaterialCacheStats keyMaterialCacheStats();
 
 } // namespace chehab::fhe

@@ -16,6 +16,13 @@ namespace {
 class Reader
 {
   public:
+    /// Deepest list nesting accepted. Recursion depth — here and in
+    /// every recursive pass downstream — follows the nesting, so a
+    /// hostile input must be refused before it overflows the stack.
+    /// Real kernels stay far below it (the deepest benchsuite kernel
+    /// nests 34).
+    static constexpr int kMaxNesting = 1024;
+
     explicit Reader(const std::string& text) : text_(text) {}
 
     ExprPtr
@@ -137,7 +144,20 @@ class Reader
     ExprPtr
     parseList()
     {
+        if (++depth_ > kMaxNesting) {
+            throw CompileError("expression nests deeper than " +
+                               std::to_string(kMaxNesting) + " at " +
+                               std::to_string(pos_));
+        }
         ++pos_; // consume '('
+        ExprPtr e = parseListBody();
+        --depth_;
+        return e;
+    }
+
+    ExprPtr
+    parseListBody()
+    {
         const std::string head = readToken();
 
         if (head == "pt") {
@@ -217,6 +237,7 @@ class Reader
 
     const std::string& text_;
     std::size_t pos_ = 0;
+    int depth_ = 0; ///< Lists currently open.
 };
 
 } // namespace

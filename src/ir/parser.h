@@ -22,7 +22,8 @@
 namespace chehab::ir {
 
 /// Parse one expression from \p text. Throws CompileError on malformed
-/// input (unbalanced parens, unknown operators, bad arity).
+/// input (unbalanced parens, unknown operators, bad arity) and on lists
+/// nested more than 1,024 deep.
 ExprPtr parse(const std::string& text);
 
 /// Returns true if \p text parses cleanly (used by the dataset

@@ -32,8 +32,9 @@ RuntimePool::acquire()
         }
         ++created_;
     }
-    // Construct outside the lock: keygen is the expensive part and
-    // concurrent first-use requests should not serialize on it.
+    // Construct outside the lock: construction is the expensive part
+    // (keygen, when no live instance of these params holds the keys
+    // yet) and leases of idle runtimes should not wait behind it.
     std::unique_ptr<compiler::FheRuntime> runtime = createRuntime();
     {
         std::unique_lock<std::mutex> lock(mutex_);

@@ -1,23 +1,30 @@
 /// \file
 /// Pooled SealLite runtimes for the execute path.
 ///
-/// Constructing an FheRuntime is expensive — secret/relinearization key
-/// generation plus NTT/CRT precomputation — so the service keeps one
-/// RuntimePool per distinct SealLiteParams and leases instances to
-/// executing workers. A leased runtime is exclusively owned until the
-/// lease is released (FheRuntime is not internally synchronized); the
-/// pool grows on demand up to the service's worker concurrency and
-/// never shrinks.
+/// An FheRuntime carries NTT/CRT precomputation and per-instance
+/// scratch arenas, so the service keeps one RuntimePool per distinct
+/// SealLiteParams and leases instances to executing workers. A leased
+/// runtime is exclusively owned until the lease is released
+/// (FheRuntime is not internally synchronized); the pool grows on
+/// demand up to the service's worker concurrency and never shrinks.
 ///
-/// Determinism contract: every instance in a pool is constructed from
-/// the same parameters, so secret and relin keys are bit-identical
-/// across instances; Galois keys are bit-identical per step by the
-/// SealLite keygen contract (randomness derived from params seed +
-/// step); and runJob() reseeds the encryption randomness from the run
-/// key before executing. A given run request therefore produces
-/// bit-identical outputs *and noise accounting* no matter which pooled
-/// instance serves it, in what order, or at what worker count —
-/// reusing key material across requests costs no reproducibility.
+/// Key material is not per instance: SealLite shares the secret, relin
+/// key and Galois keys of one parameter set through a process-wide
+/// registry (fhe::keyMaterialCacheStats), so every replica of a pool,
+/// every shard's pool with the same params and any standalone runtime
+/// hold one copy. Only the first live instance of a parameter set pays
+/// secret/relin keygen, and each rotation step is generated once while
+/// some instance of the set is alive.
+///
+/// Determinism contract: key material is a pure function of the params
+/// (Galois keys of params seed + step), so it is bit-identical whether
+/// an instance generated it or found it in the registry; a
+/// constructor leaves the randomness stream in the same post-keygen
+/// state either way; and runJob() reseeds the encryption randomness
+/// from the run key before executing. A given run request therefore
+/// produces bit-identical outputs *and noise accounting* no matter
+/// which pooled instance serves it, in what order, or at what worker
+/// count — sharing key material costs no reproducibility.
 ///
 /// Thread-safety: acquire()/release() may be called from any thread.
 #pragma once

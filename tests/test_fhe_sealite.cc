@@ -2,8 +2,14 @@
 /// SealLite correctness suite: modular arithmetic, NTT round-trips,
 /// BigInt, batching encode/decode, encryption round-trips, every
 /// homomorphic operation against plaintext semantics, rotation/Galois
-/// behaviour, and noise-budget monotonicity (App. H.1).
+/// behaviour, the process-wide key-material registry, and noise-budget
+/// monotonicity (App. H.1). The batching codec is checked against a
+/// slow O(n^2) reference kept here as its oracle.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <memory>
+#include <thread>
 
 #include "fhe/bigint.h"
 #include "fhe/modarith.h"
@@ -157,6 +163,120 @@ TEST(BigIntTest, ReduceBySubtraction)
 
 // -- batching ----------------------------------------------------------------
 
+/// The O(n^2) batching codec, kept as the oracle for SealLite's: slot j
+/// of row 0 is the plaintext polynomial evaluated at zeta^(3^j mod 2n),
+/// zeta the primitive 2n-th root of unity mod t that SealLite uses, and
+/// row 1 is zero.
+class ReferenceCodec
+{
+  public:
+    ReferenceCodec(int n, std::uint64_t t)
+        : n_(n), t_(t), zeta_powers_(2 * static_cast<std::size_t>(n))
+    {
+        const auto two_n = static_cast<std::uint64_t>(2 * n);
+        const std::uint64_t zeta = findPrimitiveRoot(two_n, t);
+        std::uint64_t power = 1;
+        for (auto& z : zeta_powers_) {
+            z = power;
+            power = mulMod(power, zeta, t);
+        }
+        std::uint64_t e = 1;
+        for (int j = 0; j < n / 2; ++j) {
+            slot_exponents_.push_back(e);
+            e = (e * 3) % two_n;
+        }
+    }
+
+    /// c_k = n^{-1} * sum_j v_j * zeta^{-e_j * k}.
+    std::vector<std::uint64_t>
+    encode(const std::vector<std::int64_t>& values) const
+    {
+        const auto two_n = static_cast<std::uint64_t>(2 * n_);
+        const std::uint64_t inv_n = invMod(static_cast<std::uint64_t>(n_), t_);
+        std::vector<std::uint64_t> coeffs(static_cast<std::size_t>(n_), 0);
+        for (int k = 0; k < n_; ++k) {
+            std::uint64_t acc = 0;
+            for (std::size_t j = 0; j < values.size(); ++j) {
+                const std::uint64_t exponent =
+                    (two_n - (slot_exponents_[j] * k) % two_n) % two_n;
+                acc = addMod(acc, mulMod(reduce(values[j]),
+                                         zeta_powers_[exponent], t_),
+                             t_);
+            }
+            coeffs[static_cast<std::size_t>(k)] = mulMod(acc, inv_n, t_);
+        }
+        return coeffs;
+    }
+
+    /// v_j = sum_k c_k * zeta^{e_j * k}.
+    std::vector<std::int64_t>
+    decode(const std::vector<std::uint64_t>& coeffs) const
+    {
+        const auto two_n = static_cast<std::uint64_t>(2 * n_);
+        std::vector<std::int64_t> values;
+        for (const std::uint64_t e : slot_exponents_) {
+            std::uint64_t acc = 0;
+            for (int k = 0; k < n_; ++k) {
+                acc = addMod(acc,
+                             mulMod(coeffs[static_cast<std::size_t>(k)],
+                                    zeta_powers_[(e * k) % two_n], t_),
+                             t_);
+            }
+            values.push_back(static_cast<std::int64_t>(acc));
+        }
+        return values;
+    }
+
+    std::uint64_t
+    reduce(std::int64_t v) const
+    {
+        const std::int64_t r = v % static_cast<std::int64_t>(t_);
+        return static_cast<std::uint64_t>(
+            r < 0 ? r + static_cast<std::int64_t>(t_) : r);
+    }
+
+  private:
+    int n_;
+    std::uint64_t t_;
+    std::vector<std::uint64_t> zeta_powers_;
+    std::vector<std::uint64_t> slot_exponents_;
+};
+
+TEST(SealLiteCodecTest, MatchesReferenceAndRoundTrips)
+{
+    for (const int n : {8, 64, 1024, 4096}) {
+        SCOPED_TRACE(n);
+        SealLiteParams params = testParams();
+        params.n = n;
+        params.prime_count = 2; // Keygen stays cheap at n = 4096.
+        const SealLite s(params);
+        const ReferenceCodec reference(n, params.plain_modulus);
+        Rng rng(static_cast<std::uint64_t>(n));
+        const auto t = static_cast<std::int64_t>(params.plain_modulus);
+        std::vector<std::int64_t> full(static_cast<std::size_t>(s.slots()));
+        for (auto& v : full) v = rng.uniformRange(-t + 1, t - 1);
+        const std::vector<std::vector<std::int64_t>> rows = {
+            full, {}, {5, -1, 65536, 42}};
+        for (const std::vector<std::int64_t>& row : rows) {
+            SCOPED_TRACE(row.size());
+            const Plaintext plain = s.encode(row);
+            EXPECT_EQ(plain.coeffs, reference.encode(row));
+            const std::vector<std::int64_t> decoded = s.decode(plain);
+            EXPECT_EQ(decoded, reference.decode(plain.coeffs));
+            // decode∘encode is the identity on rows (mod t, zero-padded)
+            // and encode∘decode on encoded plaintexts.
+            std::vector<std::int64_t> expected(
+                static_cast<std::size_t>(s.slots()), 0);
+            for (std::size_t j = 0; j < row.size(); ++j) {
+                expected[j] =
+                    static_cast<std::int64_t>(reference.reduce(row[j]));
+            }
+            EXPECT_EQ(decoded, expected);
+            EXPECT_EQ(s.encode(decoded).coeffs, plain.coeffs);
+        }
+    }
+}
+
 TEST(SealLiteTest, EncodeDecodeRoundTrip)
 {
     std::vector<std::int64_t> values = {1, 2, 3, 42, 65536, 0, 9999};
@@ -277,6 +397,166 @@ TEST(SealLiteTest, GaloisKeyManagement)
     s.makeGaloisKeys({3, 3, 3});
     EXPECT_TRUE(s.hasGaloisKey(3));
     EXPECT_EQ(s.numGaloisKeys(), 1); // Deduplicated.
+
+    // A second live instance shares the key from the registry, but
+    // reports only the steps requested on it.
+    SealLite other(testParams());
+    EXPECT_FALSE(other.hasGaloisKey(3));
+    EXPECT_EQ(other.numGaloisKeys(), 0);
+    const KeyMaterialCacheStats before = keyMaterialCacheStats();
+    other.makeGaloisKeys({3, -125}); // -125 ≡ 3 (mod 128 slots).
+    const KeyMaterialCacheStats after = keyMaterialCacheStats();
+    EXPECT_EQ(after.hits, before.hits + 1);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_TRUE(other.hasGaloisKey(3));
+    EXPECT_EQ(other.numGaloisKeys(), 1);
+}
+
+/// Everything an instance's key material and randomness stream
+/// determine: the fresh budget and a first encryption come from the
+/// post-keygen stream, and the multiply/rotate outputs are linear in
+/// the relin/Galois key entries, so equal outputs mean equal keys.
+struct KeyFingerprint
+{
+    int fresh_budget = 0;
+    Ciphertext fresh;
+    Ciphertext product;
+    std::vector<Ciphertext> rotated;
+};
+
+const std::vector<int> kFingerprintSteps = {1, 5, 64};
+
+KeyFingerprint
+fingerprintKeys(SealLite& s)
+{
+    KeyFingerprint fp;
+    fp.fresh_budget = s.freshNoiseBudget();
+    fp.fresh = s.encrypt(s.encode({3, 1, 4, 1, 5, 9, 2, 6}));
+    fp.product = s.multiply(fp.fresh, fp.fresh);
+    s.makeGaloisKeys(kFingerprintSteps);
+    for (const int step : kFingerprintSteps) {
+        fp.rotated.push_back(s.rotate(fp.product, step));
+    }
+    return fp;
+}
+
+void
+expectSameCiphertext(const Ciphertext& a, const Ciphertext& b)
+{
+    EXPECT_EQ(a.c0.data, b.c0.data);
+    EXPECT_EQ(a.c1.data, b.c1.data);
+}
+
+void
+expectSameKeys(const KeyFingerprint& a, const KeyFingerprint& b)
+{
+    EXPECT_EQ(a.fresh_budget, b.fresh_budget);
+    expectSameCiphertext(a.fresh, b.fresh);
+    expectSameCiphertext(a.product, b.product);
+    ASSERT_EQ(a.rotated.size(), b.rotated.size());
+    for (std::size_t i = 0; i < a.rotated.size(); ++i) {
+        expectSameCiphertext(a.rotated[i], b.rotated[i]);
+    }
+}
+
+TEST(KeyMaterialRegistryTest, RegistryHitMatchesFreshMiss)
+{
+    SealLiteParams params = testParams();
+    params.seed = 0x4e7; // No other test keeps an instance of these.
+    const KeyMaterialCacheStats start = keyMaterialCacheStats();
+    KeyFingerprint from_hit;
+    {
+        SealLite builder(params);
+        builder.makeGaloisKeys(kFingerprintSteps);
+        SealLite hit(params);
+        const KeyMaterialCacheStats shared = keyMaterialCacheStats();
+        EXPECT_EQ(shared.live_entries, start.live_entries + 1);
+        EXPECT_EQ(shared.misses,
+                  start.misses + 1 + kFingerprintSteps.size());
+        EXPECT_EQ(shared.hits, start.hits + 1);
+        from_hit = fingerprintKeys(hit); // Galois keys: all hits.
+        EXPECT_EQ(keyMaterialCacheStats().misses, shared.misses);
+    }
+    // The entry died with its last instance: this one generates every
+    // key again, from scratch.
+    EXPECT_EQ(keyMaterialCacheStats().live_entries, start.live_entries);
+    const KeyMaterialCacheStats before_miss = keyMaterialCacheStats();
+    SealLite miss(params);
+    const KeyFingerprint from_miss = fingerprintKeys(miss);
+    EXPECT_EQ(keyMaterialCacheStats().misses,
+              before_miss.misses + 1 + kFingerprintSteps.size());
+    expectSameKeys(from_hit, from_miss);
+    EXPECT_EQ(miss.decrypt(from_hit.product)[2], 16);
+}
+
+TEST(KeyMaterialRegistryTest, ConcurrentInstancesGenerateEachStepOnce)
+{
+    SealLiteParams params = testParams();
+    params.seed = 0x4e8;
+    constexpr int kThreads = 8;
+    const std::vector<int> steps = {1, 2, 3, 5, 7, 11};
+    const KeyMaterialCacheStats start = keyMaterialCacheStats();
+    // Instances outlive every thread, so the entry stays live
+    // throughout and no key is generated twice.
+    std::vector<std::unique_ptr<SealLite>> instances(kThreads);
+    std::vector<KeyFingerprint> prints(kThreads);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+        threads.emplace_back([&, i] {
+            while (!go.load()) std::this_thread::yield();
+            instances[static_cast<std::size_t>(i)] =
+                std::make_unique<SealLite>(params);
+            SealLite& s = *instances[static_cast<std::size_t>(i)];
+            // Overlapping requests in a different order per thread.
+            std::vector<int> mine;
+            for (std::size_t k = 0; k < steps.size(); ++k) {
+                mine.push_back(steps[(k + static_cast<std::size_t>(i)) %
+                                     steps.size()]);
+            }
+            s.makeGaloisKeys(mine);
+            prints[static_cast<std::size_t>(i)] = fingerprintKeys(s);
+        });
+    }
+    go.store(true);
+    for (std::thread& thread : threads) thread.join();
+
+    const KeyMaterialCacheStats end = keyMaterialCacheStats();
+    // One secret/relin build plus one key per distinct step (the
+    // fingerprint's steps overlap `steps` in 1 and 5).
+    const std::uint64_t distinct_steps = steps.size() + 1;
+    EXPECT_EQ(end.misses - start.misses, 1 + distinct_steps);
+    EXPECT_EQ(end.hits - start.hits,
+              static_cast<std::uint64_t>(kThreads) *
+                      (1 + steps.size() + kFingerprintSteps.size() - 2) -
+                  (1 + distinct_steps));
+    EXPECT_EQ(end.live_entries, start.live_entries + 1);
+    for (int i = 1; i < kThreads; ++i) {
+        SCOPED_TRACE(i);
+        expectSameKeys(prints[0], prints[static_cast<std::size_t>(i)]);
+    }
+    instances.clear();
+    EXPECT_EQ(keyMaterialCacheStats().live_entries, start.live_entries);
+}
+
+TEST(KeyMaterialRegistryTest, EntryLivesExactlyAsLongAsItsInstances)
+{
+    SealLiteParams params = testParams();
+    params.seed = 0x4e9;
+    SealLiteParams other = params;
+    other.decomp_bits = 10; // Any field difference is another entry.
+    const std::uint64_t live = keyMaterialCacheStats().live_entries;
+    {
+        auto first = std::make_unique<SealLite>(params);
+        {
+            const SealLite second(params);
+            const SealLite third(other);
+            EXPECT_EQ(keyMaterialCacheStats().live_entries, live + 2);
+        }
+        EXPECT_EQ(keyMaterialCacheStats().live_entries, live + 1);
+        first.reset();
+        EXPECT_EQ(keyMaterialCacheStats().live_entries, live);
+    }
 }
 
 TEST(SealLiteTest, RotateAndAddComputesDotProductReduction)
@@ -339,6 +619,38 @@ TEST(SealLiteNoiseTest, RotationConsumesModestBudget)
     const int mul_cost =
         before - s.noiseBudgetBits(s.multiply(ct, ct));
     EXPECT_LT(before - after, mul_cost);
+}
+
+TEST(SealLiteNoiseTest, DecryptsAtEveryLevelAfterModSwitch)
+{
+    for (const int n : {256, 1024}) {
+        SCOPED_TRACE(n);
+        SealLiteParams params = testParams();
+        params.n = n;
+        params.prime_count = 5;
+        SealLite s(params);
+        Rng rng(static_cast<std::uint64_t>(n) + 7);
+        std::vector<std::int64_t> values(static_cast<std::size_t>(s.slots()));
+        for (auto& v : values) v = rng.uniformRange(0, 65536);
+        for (int level = s.levels(); level >= 1; --level) {
+            SCOPED_TRACE(level);
+            Ciphertext ct = s.encrypt(s.encode(values));
+            s.modSwitchTo(ct, level);
+            EXPECT_EQ(s.level(ct), level);
+            // One 30-bit prime sits below a switched ciphertext's noise
+            // floor (the folded φ ≡ q_l (mod t) scales the rounding
+            // term by up to t/2): its budget is 0 and decryption is not
+            // guaranteed there, so the mod-switch pass never drops to
+            // it. Every level with a positive budget must decrypt.
+            const int budget = s.noiseBudgetBits(ct);
+            if (level >= 2) {
+                EXPECT_GT(budget, 0);
+            }
+            if (budget > 0) {
+                EXPECT_EQ(s.decrypt(ct), values);
+            }
+        }
+    }
 }
 
 TEST(SealLiteNoiseTest, DeepCircuitExhaustsBudget)

@@ -4,8 +4,11 @@
 /// validation path of §6).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 
+#include "benchsuite/kernels.h"
 #include "ir/parser.h"
 #include "support/error.h"
 
@@ -121,6 +124,47 @@ TEST(ParserTest, OutOfRangeLiteralsThrowInsteadOfSaturating)
     EXPECT_THROW(parse("(+ a 99999999999999999999)"), CompileError);
     EXPECT_THROW(parse("(Vec 1 99999999999999999999)"), CompileError);
     EXPECT_FALSE(isValid("99999999999999999999"));
+}
+
+/// `(+ (+ ... (+ a b) ... b) b)` with \p depth nested lists.
+std::string
+deepChain(int depth)
+{
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += "(+ ";
+    text += 'a';
+    for (int i = 0; i < depth; ++i) text += " b)";
+    return text;
+}
+
+/// Deepest list nesting in \p text.
+int
+nesting(const std::string& text)
+{
+    int depth = 0;
+    int deepest = 0;
+    for (const char c : text) {
+        if (c == '(') deepest = std::max(deepest, ++depth);
+        if (c == ')') --depth;
+    }
+    return deepest;
+}
+
+TEST(ParserTest, NestingIsBoundedBeforeTheStackIs)
+{
+    EXPECT_TRUE(isValid(deepChain(1024)));
+    EXPECT_THROW(parse(deepChain(1025)), CompileError);
+    // Deep enough to overflow an unbounded recursive descent.
+    EXPECT_THROW(parse(deepChain(20000)), CompileError);
+    EXPECT_THROW(parse("(<< " + deepChain(1024) + " 1)"), CompileError);
+    // Every benchmark kernel fits with room to spare.
+    int deepest = 0;
+    for (const benchsuite::Kernel& kernel : benchsuite::fullSuite(32, 10)) {
+        const std::string text = kernel.program->toString();
+        EXPECT_TRUE(isValid(text)) << kernel.name;
+        deepest = std::max(deepest, nesting(text));
+    }
+    EXPECT_LE(deepest, 64);
 }
 
 } // namespace
