@@ -1,21 +1,18 @@
 /// \file
 /// Timer-augmented load model throughput benchmark: jobs/sec on a
 /// *skewed* kernel mix — a few heavy kernels buried in many light ones
-/// — with the full adaptive scheduler (measured-EWMA LPT dispatch,
-/// cost-driven consolidation, arrival-rate-adaptive batch windows)
-/// against the static baseline (static-cost LPT, stride-FFD
-/// consolidation, fixed windows), at each lane cap.
+/// — under the load model (measured-EWMA LPT dispatch, cost-driven
+/// consolidation) with arrival-rate-adaptive batch windows against the
+/// same scheduler with fixed windows, at each lane cap.
 ///
 /// The skew is the point: with uniform costs any order and any row
-/// assignment works. Once a handful of kernels dominate the wall
-/// time, the static scheduler (a) bin-packs by stride alone, happily
-/// serializing two heavy kernels onto one shared row while workers
-/// idle, and (b) sits out the full fixed window even when the arrival
-/// burst is long over. The load model prices both decisions in
-/// measured seconds: heavy (execution-dominated) groups get their own
-/// rows while workers are free, light (overhead-dominated) groups
-/// keep sharing, and groups flush as soon as the arrival-rate
-/// estimate says no more peers are coming.
+/// assignment works. Once a handful of kernels dominate the wall time,
+/// the model prices row sharing in measured seconds: heavy
+/// (execution-dominated) groups get their own rows while workers are
+/// free, light (overhead-dominated) groups keep sharing. A fixed window
+/// then still sits out its full length on every partial group even when
+/// the arrival burst is long over; the adaptive window flushes as soon
+/// as the arrival-rate estimate says no more peers are coming.
 ///
 /// Each configuration runs warmup rounds first (compiles cached,
 /// EWMA profiles and arrival estimators trained), then measures
@@ -23,7 +20,7 @@
 /// (so rounds coalesce instead of hitting the run cache).
 /// Correctness gate: every response's outputs are checked against the
 /// plaintext evaluator — packed/composite outputs stay bit-identical
-/// to solo under every scheduler.
+/// to solo under either window.
 ///
 /// Usage:
 ///   bench_load_model [LANES...]   lane caps to sweep (default 1 8 16;
@@ -38,7 +35,7 @@
 /// Writes results/load_model.csv — including the per-phase latency
 /// percentile columns (qwait/exec p50/p99, window-wait p99) from the
 /// service's telemetry histograms — and prints a summary table with
-/// the adaptive-over-static speedup per lane cap. Telemetry is on for
+/// the adaptive-over-fixed-window speedup per lane cap. Telemetry is on for
 /// every sweep; its overhead is part of what this bench keeps honest
 /// (the recorder must stay invisible next to FHE execution).
 #include <algorithm>
@@ -98,7 +95,7 @@ struct Outcome
 };
 
 /// Run \p rounds measured rounds of \p round_jobs requests on one
-/// service configured with \p adaptive scheduling on or off.
+/// service configured with \p adaptive batch windows on or off.
 Outcome
 runSweep(const std::vector<benchsuite::Kernel>& mix, int requests_per_kernel,
          int lanes, bool adaptive, int workers, int warmup_rounds,
@@ -119,7 +116,6 @@ runSweep(const std::vector<benchsuite::Kernel>& mix, int requests_per_kernel,
     config.batch_window_seconds = 0.05;
     config.cross_kernel = lanes != 1;
     config.adaptive_window = adaptive;
-    config.load_model.enabled = adaptive;
     // Closed-loop rounds give few arrivals per group key; let the
     // estimator reach confidence within the warmup budget, and keep a
     // floor generous enough that submission-time compile/canonicalize
@@ -190,10 +186,10 @@ runSweep(const std::vector<benchsuite::Kernel>& mix, int requests_per_kernel,
         for (int f : slice_failures) *failures += f;
     };
 
-    // Warmup: caches the compiles for both configurations and — for
-    // the adaptive one — trains the EWMA profiles and arrival
-    // estimators the scheduler dispatches on, under the same client
-    // concurrency the measurement uses.
+    // Warmup: caches the compiles and trains the EWMA profiles (and,
+    // for the adaptive window, the arrival estimators) the scheduler
+    // dispatches on, under the same client concurrency the measurement
+    // uses.
     Outcome outcome;
     for (int w = 0; w < warmup_rounds; ++w) {
         int ignored = 0;
@@ -323,7 +319,7 @@ main(int argc, char** argv)
         "composite_groups", "solo_runs",       "packed_fallbacks",
         "window_flushes",  "window_shrinks",   "warm_predictions",
         "cold_predictions", "share_preferred", "solo_preferred",
-        "wrong_outputs",   "speedup_vs_static"};
+        "wrong_outputs",   "speedup_vs_fixed"};
     benchcommon::appendLatencyColumns(header);
     CsvWriter csv("results/load_model.csv", header);
 
@@ -332,7 +328,7 @@ main(int argc, char** argv)
                 mix.size(), requests_per_kernel, rounds, workers,
                 max_steps);
     std::printf("%5s  %22s  %22s  %8s\n", "lanes",
-                "static jobs/s (LPT+FFD)", "adaptive jobs/s (model)",
+                "fixed-window jobs/s", "adaptive-window jobs/s",
                 "speedup");
 
     bool correct = true;
@@ -368,11 +364,11 @@ main(int argc, char** argv)
                         lat.exec_p50 * 1e3, lat.exec_p99 * 1e3,
                         lat.window_wait_p99 * 1e3);
         };
-        latencyLine("static  ", fixed);
+        latencyLine("fixed   ", fixed);
         latencyLine("adaptive", adaptive);
         const auto writeRow = [&](const char* name,
                                   const Outcome& outcome,
-                                  double vs_static) {
+                                  double vs_fixed) {
             const benchcommon::LatencySummary lat =
                 benchcommon::latencySummary(outcome.stats.telemetry);
             csv.writeRow(
@@ -387,11 +383,11 @@ main(int argc, char** argv)
                 outcome.stats.load_model.cold_predictions,
                 outcome.stats.load_model.share_preferred,
                 outcome.stats.load_model.solo_preferred,
-                outcome.wrong_outputs, vs_static, lat.qwait_p50,
+                outcome.wrong_outputs, vs_fixed, lat.qwait_p50,
                 lat.qwait_p99, lat.compile_p50, lat.compile_p99,
                 lat.exec_p50, lat.exec_p99, lat.window_wait_p99);
         };
-        writeRow("static", fixed, 1.0);
+        writeRow("fixed", fixed, 1.0);
         writeRow("adaptive", adaptive, speedup);
     }
     std::printf("\nwrote results/load_model.csv\n");

@@ -50,7 +50,7 @@
 ///   --batch-window-us X  how long a pending run waits for row-mates
 ///                   before a partial batch flushes (default 500;
 ///                   fractional values allowed, e.g. 62.5)
-///   --adaptive-window N  1 (default) derives each group's flush
+///   --adaptive-window 0|1  1 (default) derives each group's flush
 ///                   deadline from the load model's arrival-rate
 ///                   estimate (ceiling-bounded by --batch-window-us);
 ///                   0 keeps the fixed window
@@ -571,6 +571,11 @@ main(int argc, char** argv)
     }
     if (options.mod_switch < 0 || options.mod_switch > 1) {
         std::fprintf(stderr, "chehabd: --mod-switch must be 0 or 1\n");
+        return 2;
+    }
+    if (options.adaptive_window < 0 || options.adaptive_window > 1) {
+        std::fprintf(stderr,
+                     "chehabd: --adaptive-window must be 0 or 1\n");
         return 2;
     }
     if (options.simd < -1 || options.simd > 1) {

@@ -126,32 +126,30 @@ FheRuntime::evaluateServer(
     // destructively there (AddPlain/MulPlain's b names a plaintext
     // register, so only a counts as a ciphertext read).
     std::unordered_map<int, std::size_t> last_use;
-    if (in_place_enabled_) {
-        for (std::size_t idx = 0; idx < program.instrs.size(); ++idx) {
-            const FheInstr& instr = program.instrs[idx];
-            switch (instr.op) {
-              case FheOpcode::Add:
-              case FheOpcode::Sub:
-              case FheOpcode::Mul:
-                last_use[instr.a] = idx;
-                last_use[instr.b] = idx;
-                break;
-              case FheOpcode::AddPlain:
-              case FheOpcode::MulPlain:
-              case FheOpcode::Negate:
-              case FheOpcode::Rotate:
-                last_use[instr.a] = idx;
-                break;
-              case FheOpcode::PackCipher:
-              case FheOpcode::PackPlain:
-                break;
-            }
+    for (std::size_t idx = 0; idx < program.instrs.size(); ++idx) {
+        const FheInstr& instr = program.instrs[idx];
+        switch (instr.op) {
+          case FheOpcode::Add:
+          case FheOpcode::Sub:
+          case FheOpcode::Mul:
+            last_use[instr.a] = idx;
+            last_use[instr.b] = idx;
+            break;
+          case FheOpcode::AddPlain:
+          case FheOpcode::MulPlain:
+          case FheOpcode::Negate:
+          case FheOpcode::Rotate:
+            last_use[instr.a] = idx;
+            break;
+          case FheOpcode::PackCipher:
+          case FheOpcode::PackPlain:
+            break;
         }
     }
     const std::unordered_set<int> protected_set(protected_regs.begin(),
                                                 protected_regs.end());
     auto dies = [&](int reg, std::size_t idx) {
-        if (!in_place_enabled_ || protected_set.count(reg)) return false;
+        if (protected_set.count(reg)) return false;
         auto it = last_use.find(reg);
         return it != last_use.end() && it->second == idx;
     };

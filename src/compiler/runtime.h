@@ -179,16 +179,12 @@ class FheRuntime
     fhe::SealLite& scheme() { return scheme_; }
     int slots() const { return scheme_.slots(); }
 
-    /// \name Destructive evaluation control and observability
+    /// \name Destructive evaluation observability
     /// The server-side evaluator consumes a register's last use
     /// destructively (last-use liveness over the linear program),
     /// cutting the per-op c0/c1 copies the copying forms pay. Output
-    /// registers are protected. Disabled = every op clones (the
-    /// in-place-vs-copying differential tests run both ways; results
-    /// are bit-identical either way).
+    /// registers are protected.
     /// @{
-    void setInPlaceEnabled(bool enabled) { in_place_enabled_ = enabled; }
-    bool inPlaceEnabled() const { return in_place_enabled_; }
     InPlaceStats inPlaceStats() const
     {
         return {inplace_consumed_, inplace_copies_, recycled_cts_};
@@ -232,7 +228,6 @@ class FheRuntime
 
     fhe::SealLite scheme_;
     ir::Evaluator plain_eval_;
-    bool in_place_enabled_ = true;
     mutable std::uint64_t inplace_consumed_ = 0;
     mutable std::uint64_t inplace_copies_ = 0;
     mutable std::uint64_t recycled_cts_ = 0;

@@ -12,9 +12,7 @@
 /// contract bench_ntt's allocs/op column and the arena tests pin.
 ///
 /// Counters (allocs / reuses / bytes) feed ServiceStats and chehabd's
-/// --stats-json. The arena can be disabled (setEnabled(false)), which
-/// turns every acquire into a fresh heap allocation and every release
-/// into a free — the arena-on-vs-off differential tests run both ways.
+/// --stats-json.
 ///
 /// Thread-safety: all methods are mutex-guarded. A SealLite instance is
 /// externally synchronized (the runtime pool leases exclusively), but
@@ -45,8 +43,8 @@ class PolyArena
     /// acquire(), then zero-fill.
     std::vector<std::uint64_t> acquireZeroed(std::size_t words);
 
-    /// Return a dead buffer to the freelist (dropped when disabled or
-    /// when the freelist is at capacity).
+    /// Return a dead buffer to the freelist (dropped when the freelist
+    /// is at capacity).
     void release(std::vector<std::uint64_t>&& buffer);
 
     /// Drop every pooled buffer (counters are kept — they are
@@ -55,16 +53,10 @@ class PolyArena
 
     Stats stats() const;
 
-    /// Disabled arenas always mint and never pool — the differential
-    /// tests compare this against the pooled mode bit for bit.
-    void setEnabled(bool enabled);
-    bool enabled() const;
-
   private:
     mutable std::mutex mutex_;
     std::vector<std::vector<std::uint64_t>> free_;
     Stats stats_;
-    bool enabled_ = true;
 };
 
 } // namespace chehab::fhe

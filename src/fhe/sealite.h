@@ -235,13 +235,8 @@ class SealLite
     void recycle(RnsPoly&& poly) const;
     /// @}
 
-    /// \name Arena observability and control
-    /// @{
+    /// Arena observability (see PolyArena).
     PolyArena::Stats arenaStats() const { return arena_.stats(); }
-    /// Disabled = every acquire is a fresh heap allocation (the
-    /// arena-on-vs-off differential tests run both ways).
-    void setArenaEnabled(bool enabled) { arena_.setEnabled(enabled); }
-    /// @}
 
     /// Re-seed the encryption/error randomness stream. Key material
     /// (secret, relinearization and Galois keys) is unaffected: it is

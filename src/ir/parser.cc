@@ -1,5 +1,6 @@
 #include "ir/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 
@@ -16,11 +17,14 @@ namespace {
 class Reader
 {
   public:
-    /// Deepest list nesting accepted. Recursion depth — here and in
-    /// every recursive pass downstream — follows the nesting, so a
-    /// hostile input must be refused before it overflows the stack.
-    /// Real kernels stay far below it (the deepest benchsuite kernel
-    /// nests 34).
+    /// Deepest list nesting, and tallest built tree, accepted.
+    /// Recursion depth — here and in every recursive pass downstream —
+    /// follows the nesting, so a hostile input must be refused before
+    /// it overflows the stack. An n-ary `(+ ...)` or `(* ...)` folds
+    /// into a chain one level per extra operand, so the bound applies
+    /// to the height of the tree the reader builds, not only to the
+    /// text's nesting. Real kernels stay far below it (the deepest
+    /// benchsuite kernel nests 34).
     static constexpr int kMaxNesting = 1024;
 
     explicit Reader(const std::string& text) : text_(text) {}
@@ -28,7 +32,8 @@ class Reader
     ExprPtr
     parseAll()
     {
-        ExprPtr e = parseExpr();
+        int height = 0;
+        ExprPtr e = parseExpr(height);
         skipSpace();
         if (pos_ != text_.size()) {
             throw CompileError("trailing characters after expression at " +
@@ -115,22 +120,46 @@ class Reader
         return toInt64(tok);
     }
 
+    [[noreturn]] void
+    tooDeep() const
+    {
+        throw CompileError("expression nests deeper than " +
+                           std::to_string(kMaxNesting) + " at " +
+                           std::to_string(pos_));
+    }
+
+    /// The height of a node whose tallest child is \p child_height
+    /// tall; refused above kMaxNesting. Heights count operator nodes on
+    /// the longest root-to-leaf path (0 for a leaf).
+    int
+    levelAbove(int child_height) const
+    {
+        if (child_height >= kMaxNesting) tooDeep();
+        return child_height + 1;
+    }
+
+    /// Parse one expression and set \p height to its tree height.
     ExprPtr
-    parseExpr()
+    parseExpr(int& height)
     {
         const char c = peek();
-        if (c == '(') return parseList();
+        if (c == '(') return parseList(height);
         if (c == ')') throw CompileError("unexpected ')'");
+        height = 0;
         const std::string tok = readToken();
         if (isInteger(tok)) return constant(toInt64(tok));
         return var(tok);
     }
 
+    /// Operands up to the closing ')', with each one's tree height.
     std::vector<ExprPtr>
-    parseOperands()
+    parseOperands(std::vector<int>& heights)
     {
         std::vector<ExprPtr> operands;
-        while (peek() != ')') operands.push_back(parseExpr());
+        while (peek() != ')') {
+            heights.push_back(0);
+            operands.push_back(parseExpr(heights.back()));
+        }
         return operands;
     }
 
@@ -142,40 +171,50 @@ class Reader
     }
 
     ExprPtr
-    parseList()
+    parseList(int& height)
     {
-        if (++depth_ > kMaxNesting) {
-            throw CompileError("expression nests deeper than " +
-                               std::to_string(kMaxNesting) + " at " +
-                               std::to_string(pos_));
-        }
+        // Checked on the way down as well, so the reader's own
+        // recursion is bounded before any height is known.
+        if (++depth_ > kMaxNesting) tooDeep();
         ++pos_; // consume '('
-        ExprPtr e = parseListBody();
+        ExprPtr e = parseListBody(height);
         --depth_;
         return e;
     }
 
     ExprPtr
-    parseListBody()
+    parseListBody(int& height)
     {
         const std::string head = readToken();
 
         if (head == "pt") {
             const std::string name = readToken();
             expectClose();
+            height = 0;
             return plainVar(name);
         }
         if (head == "<<" || head == ">>") {
-            ExprPtr operand = parseExpr();
+            int operand_height = 0;
+            ExprPtr operand = parseExpr(operand_height);
             const std::int64_t step = parseIntToken();
             expectClose();
+            height = levelAbove(operand_height);
             const int signed_step =
                 head == "<<" ? static_cast<int>(step) : -static_cast<int>(step);
             return rotate(std::move(operand), signed_step);
         }
 
-        std::vector<ExprPtr> operands = parseOperands();
+        std::vector<int> heights;
+        std::vector<ExprPtr> operands = parseOperands(heights);
         expectClose();
+
+        if (head == "+" || head == "*") {
+            return foldLeft(head == "+" ? Op::Add : Op::Mul,
+                            std::move(operands), heights, height);
+        }
+        int tallest = 0;
+        for (const int h : heights) tallest = std::max(tallest, h);
+        height = levelAbove(tallest);
 
         auto require_arity = [&](std::size_t n) {
             if (operands.size() != n) {
@@ -185,12 +224,6 @@ class Reader
             }
         };
 
-        if (head == "+") {
-            return foldLeft(Op::Add, std::move(operands), 2);
-        }
-        if (head == "*") {
-            return foldLeft(Op::Mul, std::move(operands), 2);
-        }
         if (head == "-") {
             if (operands.size() == 1) return neg(std::move(operands[0]));
             require_arity(2);
@@ -220,16 +253,19 @@ class Reader
     }
 
     /// n-ary + / * in the input text folds into left-leaning binary nodes
-    /// (the TRS balancing rules may later reshape them).
+    /// (the TRS balancing rules may later reshape them). Each node of
+    /// the chain is one level, so \p height counts the whole chain.
     ExprPtr
-    foldLeft(Op op, std::vector<ExprPtr> operands, std::size_t min_arity)
+    foldLeft(Op op, std::vector<ExprPtr> operands,
+             const std::vector<int>& heights, int& height)
     {
-        if (operands.size() < min_arity) {
-            throw CompileError("operator needs at least " +
-                               std::to_string(min_arity) + " operands");
+        if (operands.size() < 2) {
+            throw CompileError("operator needs at least 2 operands");
         }
         ExprPtr acc = operands[0];
+        height = heights[0];
         for (std::size_t i = 1; i < operands.size(); ++i) {
+            height = levelAbove(std::max(height, heights[i]));
             acc = makeNode(op, {acc, operands[i]}, {}, 0, 0);
         }
         return acc;

@@ -396,9 +396,9 @@ wasteAfter(const BatchPlanner::Group& row,
            (row.total_lanes + group.total_lanes);
 }
 
-/// Total order on rows for cost-driven tie-breaks: compile-key content
-/// of the first member, so row choice is a pure function of the
-/// flushed set, never of row creation order alone.
+/// Total order on rows for tie-breaks: compile-key content of the first
+/// member, so row choice is a pure function of the flushed set, never
+/// of row creation order alone.
 bool
 rowContentLess(const BatchPlanner::Group& a, const BatchPlanner::Group& b)
 {
@@ -415,9 +415,8 @@ struct Seat
 
 /// The row in \p rows that \p group should join under \p policy, or
 /// nullopt when no row is feasible (or the cost rule prefers an own
-/// row). Cost-driven choice minimizes the resulting predicted row
-/// seconds (the makespan objective), then wasted lanes, then row
-/// content; legacy choice is first fit.
+/// row). The choice minimizes the resulting predicted row seconds (the
+/// makespan objective), then wasted lanes, then row content.
 std::optional<Seat>
 chooseRow(std::vector<BatchPlanner::Group>& rows,
           const BatchPlanner::Group& group, const ConsolidatePolicy& policy,
@@ -427,9 +426,8 @@ chooseRow(std::vector<BatchPlanner::Group>& rows,
     for (std::size_t r = 0; r < rows.size(); ++r) {
         std::optional<MergePlan> plan = planMerge(rows[r], group);
         if (!plan) continue;
-        if (!policy.cost_driven || !best) {
+        if (!best) {
             best = Seat{r, std::move(*plan)};
-            if (!policy.cost_driven) break; // First fit.
             continue;
         }
         const auto score = [&](std::size_t idx, const MergePlan& p) {
@@ -447,8 +445,7 @@ chooseRow(std::vector<BatchPlanner::Group>& rows,
         }
     }
     if (!best) return std::nullopt;
-    if (policy.cost_driven && allow_new_row && policy.shareable &&
-        policy.parallelism > 0 &&
+    if (allow_new_row && policy.shareable && policy.parallelism > 0 &&
         static_cast<int>(rows.size()) < policy.parallelism &&
         !policy.shareable(group)) {
         // Execution-dominated group with worker slots still free:
@@ -553,13 +550,11 @@ BatchPlanner::consolidateDue(std::vector<Group> due,
     std::vector<Group> rows = consolidateGroups(std::move(due), policy);
     for (auto it = pending_.begin(); it != pending_.end();) {
         // A pending row-mate is pulled forward only when it joins a row
-        // — and, under the cost rule, only when it is overhead-
-        // dominated: pulling an execution-dominated mate would
-        // serialize its work early when letting it keep its window (and
-        // likely its own row) costs nothing.
+        // and is overhead-dominated: pulling an execution-dominated
+        // mate would serialize its work early when letting it keep its
+        // window (and likely its own row) costs nothing.
         bool joined = false;
-        if (!policy.cost_driven || !policy.shareable ||
-            policy.shareable(it->second)) {
+        if (!policy.shareable || policy.shareable(it->second)) {
             std::optional<Seat> seat = chooseRow(rows, it->second, policy,
                                                  /*allow_new_row=*/false);
             if (seat) {
@@ -599,18 +594,14 @@ consolidateGroups(std::vector<BatchPlanner::Group> groups,
 {
     // Sorting first makes the consolidation a pure function of the
     // flushed set (arrival interleaving must not leak into row
-    // composition). Cost-driven mode places the heaviest-predicted
-    // groups first — the makespan analogue of longest-processing-time
-    // scheduling — while the legacy mode keeps first-fit decreasing
-    // over the certified strides (widest members seed rows, narrower
-    // ones fill the remaining lanes). Every input group keeps its
-    // lanes in one member, so each program still executes exactly
-    // once.
+    // composition). The heaviest-predicted groups go first — the
+    // makespan analogue of longest-processing-time scheduling — then
+    // the widest strides. Every input group keeps its lanes in one
+    // member, so each program still executes exactly once.
     std::sort(groups.begin(), groups.end(),
-              [&policy](const BatchPlanner::Group& a,
-                        const BatchPlanner::Group& b) {
-                  if (policy.cost_driven &&
-                      a.predicted_sum != b.predicted_sum) {
+              [](const BatchPlanner::Group& a,
+                 const BatchPlanner::Group& b) {
+                  if (a.predicted_sum != b.predicted_sum) {
                       return a.predicted_sum > b.predicted_sum;
                   }
                   if (a.stride != b.stride) return a.stride > b.stride;

@@ -27,8 +27,7 @@
 /// program execution, which is where packing's compute saving lives —
 /// and only at *flush* time are window-expired partial groups that
 /// share a row identity consolidated (consolidateGroups — cost-driven
-/// row assignment under the load model, legacy first-fit decreasing
-/// over the certified strides otherwise) into composite rows, so a
+/// row assignment under the load model) into composite rows, so a
 /// mixed workload of small distinct kernels shares the runtime lease,
 /// the merged Galois keygen and the dispatch instead of paying them
 /// once per kernel. Groups that fill on their own dispatch untouched:
@@ -335,19 +334,15 @@ class BatchPlanner
     std::unordered_map<BatchGroupKey, Group, BatchGroupKeyHash> pending_;
 };
 
-/// How consolidateGroups assigns flushed groups to rows.
+/// How consolidateGroups assigns flushed groups to rows. Groups are
+/// placed heaviest-predicted first onto the feasible row that minimizes
+/// the resulting predicted row seconds, then wasted lanes (best-fit by
+/// makespan); execution-dominated groups (the \c shareable callback
+/// answers false) seed their own rows while fewer than \c parallelism
+/// rows exist, so a few heavy kernels spread across workers instead of
+/// serializing on one shared row.
 struct ConsolidatePolicy
 {
-    /// Cost-driven row assignment (the load model's mode): groups are
-    /// placed heaviest-predicted first onto the feasible row that
-    /// minimizes the resulting predicted row seconds, then wasted
-    /// lanes (best-fit by makespan); execution-dominated groups (the
-    /// \c shareable callback answers false) seed their own rows while
-    /// fewer than \c parallelism rows exist, so a few heavy kernels
-    /// spread across workers instead of serializing on one shared row.
-    /// When false: the legacy first-fit-decreasing over certified
-    /// strides, blind to cost.
-    bool cost_driven = false;
     /// Worker parallelism available to execute rows; 0 disables the
     /// own-row rule (always pack as tightly as rows allow).
     int parallelism = 0;
@@ -360,18 +355,17 @@ struct ConsolidatePolicy
 /// Consolidate flushed groups that share a row identity (RowKey) into
 /// cross-kernel composite rows, growing each row's common stride as
 /// members join and respecting its lane cap and key-plan
-/// compatibility. Row assignment follows \p policy: cost-driven
-/// (minimize predicted composite makespan, then wasted lanes, ties
-/// broken by compile-key content so row composition stays a pure
-/// function of the flushed set) or the legacy first-fit decreasing
-/// over certified strides. Input groups are single-artifact (as the
-/// planner produces them); each either seeds a row or joins one, so no
-/// program ever executes more than once per flush. Deterministic for a
+/// compatibility. Row assignment follows \p policy: minimize predicted
+/// composite makespan, then wasted lanes, ties broken by compile-key
+/// content so row composition stays a pure function of the flushed
+/// set. Input groups are single-artifact (as the planner produces
+/// them); each either seeds a row or joins one, so no program ever
+/// executes more than once per flush. Deterministic for a
 /// fixed input set and fixed predictions — independent of input order,
 /// worker count and arrival interleaving.
 std::vector<BatchPlanner::Group>
 consolidateGroups(std::vector<BatchPlanner::Group> groups,
-                  const ConsolidatePolicy& policy = {});
+                  const ConsolidatePolicy& policy);
 
 /// Content hash of a canonicalized group's composite identity: the
 /// member artifact fingerprints, their lane assignment and the common

@@ -575,16 +575,13 @@ ConsolidatePolicy
 CompileService::consolidatePolicy()
 {
     ConsolidatePolicy policy;
-    policy.cost_driven = load_model_.enabled();
     policy.parallelism = pool_->size();
-    if (policy.cost_driven) {
-        // The model never locks back into the service, so this
-        // callback is safe under batch_mutex_.
-        policy.shareable = [this](const BatchPlanner::Group& group) {
-            return load_model_.preferRowShare(group.key.params_hash,
-                                              group.predicted_sum);
-        };
-    }
+    // The model never locks back into the service, so this callback is
+    // safe under batch_mutex_.
+    policy.shareable = [this](const BatchPlanner::Group& group) {
+        return load_model_.preferRowShare(group.key.params_hash,
+                                          group.predicted_sum);
+    };
     return policy;
 }
 

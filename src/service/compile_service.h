@@ -128,9 +128,9 @@ struct ServiceConfig
     /// fixed window applies unchanged. False opts out: fixed windows
     /// always.
     bool adaptive_window = true;
-    /// Timer-augmented load model knobs; load_model.enabled = false
-    /// restores the fully static scheduler (static-cost LPT dispatch,
-    /// stride-FFD consolidation, fixed windows) for A/B comparison.
+    /// Timer-augmented load model knobs (service/load_model.h): its
+    /// predictions rank dispatch and consolidation, and its arrival
+    /// estimates size adaptive windows.
     LoadModelConfig load_model;
     /// Request-lifecycle telemetry (support/telemetry.h): spans for
     /// enqueue/dispatch/compile/execute (with setup/evaluate/decode
@@ -268,8 +268,7 @@ class CompileService final : public ServiceApi
     /// planner.
     bool tryCoalesce(BatchLane& lane);
 
-    /// The consolidation policy the load model prescribes (cost-driven
-    /// when enabled, legacy stride FFD otherwise).
+    /// The consolidation policy the load model prescribes.
     ConsolidatePolicy consolidatePolicy();
 
     /// Dispatch one flushed group onto the worker pool (solo execution

@@ -24,12 +24,10 @@ LoadModel::predictCompileSeconds(const CacheKey& key,
 {
     const double floor_cost = std::max(static_cost, 1.0);
     std::unique_lock<std::mutex> lock(mutex_);
-    if (config_.enabled) {
-        auto it = compile_.find(key);
-        if (it != compile_.end() && it->second.samples > 0) {
-            ++counters_.warm_predictions;
-            return it->second.seconds_ewma;
-        }
+    auto it = compile_.find(key);
+    if (it != compile_.end() && it->second.samples > 0) {
+        ++counters_.warm_predictions;
+        return it->second.seconds_ewma;
     }
     ++counters_.cold_predictions;
     return floor_cost * compile_ratio_;
@@ -41,12 +39,10 @@ LoadModel::predictRunSeconds(const BatchGroupKey& key,
 {
     const double floor_cost = std::max(static_cost, 1.0);
     std::unique_lock<std::mutex> lock(mutex_);
-    if (config_.enabled) {
-        auto it = run_.find(key);
-        if (it != run_.end() && it->second.samples > 0) {
-            ++counters_.warm_predictions;
-            return it->second.seconds_ewma;
-        }
+    auto it = run_.find(key);
+    if (it != run_.end() && it->second.samples > 0) {
+        ++counters_.warm_predictions;
+        return it->second.seconds_ewma;
     }
     ++counters_.cold_predictions;
     return floor_cost * run_ratio_;
@@ -129,10 +125,6 @@ LoadModel::adaptiveWaitSeconds(const BatchGroupKey& key,
                                double ceiling_seconds) const
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (!config_.enabled) {
-        ++counters_.window_ceilings;
-        return ceiling_seconds;
-    }
     auto it = arrivals_.find(key);
     if (it == arrivals_.end() ||
         it->second.samples <
@@ -191,14 +183,11 @@ LoadModel::preferRowShare(std::uint64_t params_hash,
                           double predicted_seconds) const
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (config_.enabled) {
-        auto it = cheapest_run_.find(params_hash);
-        if (it != cheapest_run_.end() &&
-            predicted_seconds >
-                config_.merge_cost_factor * it->second) {
-            ++counters_.solo_preferred;
-            return false;
-        }
+    auto it = cheapest_run_.find(params_hash);
+    if (it != cheapest_run_.end() &&
+        predicted_seconds > config_.merge_cost_factor * it->second) {
+        ++counters_.solo_preferred;
+        return false;
     }
     ++counters_.share_preferred;
     return true;

@@ -36,8 +36,7 @@
 ///      outranks a light run and vice versa — the units are finally
 ///      comparable.
 ///   2. Consolidation — cost-driven row assignment minimizes the
-///      predicted composite makespan and wasted lanes instead of
-///      first-fit-decreasing over stride alone (see
+///      predicted composite makespan and wasted lanes (see
 ///      consolidateGroups).
 ///   3. Batch windows — the flusher derives each group's deadline from
 ///      the estimated arrival rate (expected time for the remaining
@@ -69,12 +68,6 @@ namespace chehab::service {
 /// LoadModel knobs (embedded in ServiceConfig::load_model).
 struct LoadModelConfig
 {
-    /// Master switch. When false every prediction degrades to the
-    /// static estimate scaled by the seed ratio (pure static LPT), the
-    /// adaptive window always returns its ceiling, and consolidation
-    /// falls back to first-fit decreasing over stride — the pre-model
-    /// scheduler, kept for A/B benchmarking (bench_load_model).
-    bool enabled = true;
     /// EWMA smoothing for measured compile/run seconds: profile ewma =
     /// alpha * sample + (1 - alpha) * ewma.
     double alpha = 0.3;
@@ -202,8 +195,7 @@ class LoadModel
     /// remaining \p remaining_lanes peers: the expected fill time under
     /// the estimated arrival rate (with safety margin), clamped to
     /// [floor_fraction, 1] x \p ceiling_seconds. Returns the ceiling
-    /// until min_arrival_samples gaps have been observed (or when the
-    /// model is disabled).
+    /// until min_arrival_samples gaps have been observed.
     double adaptiveWaitSeconds(const BatchGroupKey& key,
                                int remaining_lanes,
                                double ceiling_seconds) const;
@@ -216,10 +208,8 @@ class LoadModel
     /// times the predicted seconds of queued + in-flight work on this
     /// shard. The ShardRouter (service/shard_router.h) routes run
     /// traffic to the least-loaded feasible shard on this signal.
-    /// Tracked even when the model is disabled (static predictions
-    /// still carry LPT-comparable units). Enqueue/finish pairs carry
-    /// the same value, so the sum returns to exactly zero when the
-    /// shard drains.
+    /// Enqueue/finish pairs carry the same value, so the sum returns to
+    /// exactly zero when the shard drains.
     /// @{
     void noteEnqueued(double predicted_seconds);
     void noteFinished(double predicted_seconds);
@@ -231,11 +221,10 @@ class LoadModel
     /// overhead-dominated and should share a row whenever one fits;
     /// false when it is execution-dominated and deserves its own row
     /// while idle workers remain. Always true while the model is cold
-    /// (no measured floor yet) or disabled.
+    /// (no measured floor yet).
     bool preferRowShare(std::uint64_t params_hash,
                         double predicted_seconds) const;
 
-    bool enabled() const { return config_.enabled; }
     const LoadModelConfig& config() const { return config_; }
 
     LoadModelSnapshot snapshot() const;

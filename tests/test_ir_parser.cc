@@ -157,14 +157,42 @@ TEST(ParserTest, NestingIsBoundedBeforeTheStackIs)
     // Deep enough to overflow an unbounded recursive descent.
     EXPECT_THROW(parse(deepChain(20000)), CompileError);
     EXPECT_THROW(parse("(<< " + deepChain(1024) + " 1)"), CompileError);
-    // Every benchmark kernel fits with room to spare.
+    // Every benchmark kernel fits with room to spare, and prints and
+    // parses back to the same tree.
     int deepest = 0;
     for (const benchsuite::Kernel& kernel : benchsuite::fullSuite(32, 10)) {
         const std::string text = kernel.program->toString();
-        EXPECT_TRUE(isValid(text)) << kernel.name;
+        ASSERT_TRUE(isValid(text)) << kernel.name;
+        EXPECT_EQ(parse(text)->toString(), text) << kernel.name;
         deepest = std::max(deepest, nesting(text));
     }
     EXPECT_LE(deepest, 64);
+}
+
+/// `(op a0 a1 ... a<operands-1>)` on one level.
+std::string
+wideList(const std::string& op, int operands)
+{
+    std::string text = "(" + op;
+    for (int i = 0; i < operands; ++i) text += " a" + std::to_string(i);
+    return text + ")";
+}
+
+TEST(ParserTest, WideSumsAreBoundedByTheTreeTheyFoldInto)
+{
+    // One list level, but the fold builds a chain one node per extra
+    // operand: the bound applies to that chain's height.
+    EXPECT_TRUE(isValid(wideList("+", 1025)));
+    EXPECT_THROW(parse(wideList("+", 1026)), CompileError);
+    EXPECT_THROW(parse(wideList("+", 20000)), CompileError);
+    EXPECT_THROW(parse(wideList("*", 20000)), CompileError);
+    // Fold levels and list levels add up.
+    EXPECT_THROW(parse("(- " + wideList("+", 1025) + ")"), CompileError);
+    std::string operands;
+    for (int i = 0; i < 24; ++i) operands += " b";
+    EXPECT_TRUE(isValid("(* " + deepChain(1000) + operands + ")"));
+    EXPECT_THROW(parse("(* " + deepChain(1000) + operands + " b)"),
+                 CompileError);
 }
 
 } // namespace

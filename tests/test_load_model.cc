@@ -102,22 +102,6 @@ TEST(LoadModelTest, ColdStartFallsBackToScaledStaticEstimate)
     EXPECT_EQ(snap.compile_observations, 1u);
 }
 
-TEST(LoadModelTest, DisabledModelStaysStatic)
-{
-    LoadModelConfig config;
-    config.enabled = false;
-    LoadModel model(config);
-    const CacheKey key = compileKey(9);
-    model.observeCompile(key, 100.0, 7.0);
-    // Measured truth is ignored: predictions stay the scaled static
-    // estimate (the ratio still calibrates, keeping units sane).
-    EXPECT_DOUBLE_EQ(model.predictCompileSeconds(key, 100.0),
-                     100.0 * (7.0 / 100.0));
-    EXPECT_DOUBLE_EQ(
-        model.adaptiveWaitSeconds(groupKey(9), 4, 0.125), 0.125);
-    EXPECT_TRUE(model.preferRowShare(0x50u, 1e9));
-}
-
 TEST(LoadModelTest, AdaptiveWindowGatesOnArrivalConfidence)
 {
     LoadModelConfig config;
@@ -219,7 +203,6 @@ ConsolidatePolicy
 costPolicy(int parallelism, double heavy_threshold)
 {
     ConsolidatePolicy policy;
-    policy.cost_driven = true;
     policy.parallelism = parallelism;
     policy.shareable = [heavy_threshold](const BatchPlanner::Group& g) {
         return g.predicted_sum <= heavy_threshold;
@@ -275,7 +258,7 @@ TEST(LoadModelTest, CostDrivenConsolidationSpreadsHeavyGroups)
     // Two execution-dominated groups and two overhead-dominated ones,
     // all row-compatible. Cost-driven: the heavies take their own rows
     // while worker slots remain, the lights balance across them.
-    // Legacy FFD: everything first-fits into one row.
+    // Without cost advice everything packs into one row.
     auto makeSet = [] {
         std::vector<BatchPlanner::Group> groups;
         groups.push_back(makeGroup(1, 8, 2, 10.0));
@@ -297,9 +280,10 @@ TEST(LoadModelTest, CostDrivenConsolidationSpreadsHeavyGroups)
     EXPECT_NEAR(cost_rows[0].predicted_sum, 10.0, 1e-12);
     EXPECT_NEAR(cost_rows[1].predicted_sum, 9.75, 1e-12);
 
-    const auto ffd_rows = consolidateGroups(makeSet(), {});
-    ASSERT_EQ(ffd_rows.size(), 1u);
-    EXPECT_EQ(ffd_rows[0].total_lanes, 8);
+    const auto packed_rows =
+        consolidateGroups(makeSet(), ConsolidatePolicy{});
+    ASSERT_EQ(packed_rows.size(), 1u);
+    EXPECT_EQ(packed_rows[0].total_lanes, 8);
 
     // With no worker slot free, even heavies pack (serialization is
     // inevitable; sharing at least saves the row overhead).

@@ -1,14 +1,17 @@
 /// \file
 /// PolyArena semantics and the arena/in-place determinism contract:
 /// acquire/release/reuse accounting, best-fit selection, the
-/// zero-steady-state guarantee after one priming pass, an 8-thread
-/// acquire/release stress (the TSan job runs this file), and
-/// bit-identity differentials — arena on vs off and in-place vs copying
-/// evaluation — at 1 and 8 workers.
+/// zero-steady-state guarantee after one priming pass (through the
+/// scheme and through whole runtime replays), an 8-thread
+/// acquire/release stress (the TSan job runs this file), and in-place
+/// evaluation on recycled buffers — every consume branch, the Fig. 5
+/// mix and 8 concurrent workers — checked against ir::Evaluator, with
+/// pinned noise budgets.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "benchsuite/kernels.h"
@@ -16,6 +19,8 @@
 #include "compiler/runtime.h"
 #include "fhe/poly_arena.h"
 #include "fhe/sealite.h"
+#include "ir/evaluator.h"
+#include "ir/parser.h"
 
 namespace chehab {
 namespace {
@@ -73,19 +78,6 @@ TEST(PolyArenaTest, AcquireZeroedClearsRecycledContents)
     for (const std::uint64_t w : zeroed) EXPECT_EQ(w, 0u);
 }
 
-TEST(PolyArenaTest, DisabledArenaAlwaysMints)
-{
-    fhe::PolyArena arena;
-    arena.setEnabled(false);
-    EXPECT_FALSE(arena.enabled());
-    auto buffer = arena.acquire(128);
-    arena.release(std::move(buffer));
-    auto again = arena.acquire(128);
-    EXPECT_EQ(arena.stats().allocs, 2u);
-    EXPECT_EQ(arena.stats().reuses, 0u);
-    (void)again;
-}
-
 TEST(PolyArenaTest, EightThreadAcquireReleaseStress)
 {
     // One shared arena hammered from 8 workers with mixed sizes: the
@@ -137,72 +129,160 @@ TEST(PolyArenaTest, SchemeReachesZeroAllocsAfterPriming)
     EXPECT_GT(steady.reuses, primed.reuses);
 }
 
-// -- determinism contract differentials --------------------------------
+// -- in-place evaluation on recycled buffers ---------------------------
 
-compiler::RunResult
-runKernel(compiler::FheRuntime& runtime, const benchsuite::Kernel& kernel)
+/// One kernel compiled once (no-opt pipeline: the evaluator, not the
+/// optimizer, is under test) with its inputs and the reference output.
+struct Case
 {
-    const compiler::Compiled compiled =
-        compiler::compileNoOpt(kernel.program);
-    return runtime.run(compiled.program,
-                       benchsuite::syntheticInputs(kernel.program));
+    benchsuite::Kernel kernel;
+    compiler::Compiled compiled;
+    ir::Env env;
+    std::vector<std::int64_t> expected;
+};
+
+Case
+makeCase(benchsuite::Kernel kernel)
+{
+    Case c{std::move(kernel), {}, {}, {}};
+    c.compiled = compiler::compileNoOpt(c.kernel.program);
+    c.env = benchsuite::syntheticInputs(c.kernel.program);
+    c.expected = ir::Evaluator().evaluate(c.kernel.program, c.env).slots;
+    return c;
 }
 
-TEST(ArenaDifferentialTest, ArenaOnOffBitIdentical)
+/// The Fig. 5 mix in small form: one representative of each kernel
+/// family (reduction, elementwise, image stencil, matrix, tree).
+std::vector<Case>
+kernelMix()
 {
-    const benchsuite::Kernel kernel = benchsuite::l2Distance(4);
-    compiler::FheRuntime with_arena;
-    compiler::FheRuntime without_arena;
-    without_arena.scheme().setArenaEnabled(false);
-    const compiler::RunResult on = runKernel(with_arena, kernel);
-    const compiler::RunResult off = runKernel(without_arena, kernel);
-    EXPECT_EQ(on.output, off.output);
-    EXPECT_EQ(on.final_noise_budget, off.final_noise_budget);
+    std::vector<Case> mix;
+    mix.push_back(makeCase(benchsuite::dotProduct(4)));
+    mix.push_back(makeCase(benchsuite::l2Distance(4)));
+    mix.push_back(makeCase(benchsuite::polyReg(4)));
+    mix.push_back(makeCase(benchsuite::boxBlur(3)));
+    mix.push_back(makeCase(benchsuite::matMul(2)));
+    mix.push_back(makeCase(benchsuite::maxKernel(4)));
+    return mix;
 }
 
-TEST(ArenaDifferentialTest, InPlaceVsCopyingBitIdentical)
+TEST(InPlaceEvaluationTest, RecycledBuffersMatchEvaluatorAndPinnedBudget)
 {
-    // Two identically seeded runtimes: the encryption randomness
-    // streams match, so any bit difference is the evaluator's fault.
-    const benchsuite::Kernel kernel = benchsuite::polyReg(4);
-    compiler::FheRuntime destructive;
-    destructive.setInPlaceEnabled(true);
-    const compiler::RunResult inplace = runKernel(destructive, kernel);
-    EXPECT_GT(destructive.inPlaceStats().consumed, 0u);
-    compiler::FheRuntime cloning;
-    cloning.setInPlaceEnabled(false);
-    const compiler::RunResult copying = runKernel(cloning, kernel);
-    EXPECT_EQ(inplace.output, copying.output);
-    EXPECT_EQ(inplace.final_noise_budget, copying.final_noise_budget);
+    // Two runs per kernel on one runtime, reseeded identically: the
+    // first draws fresh arena buffers, the second recycled ones the
+    // first handed back, so any stale word an op fails to overwrite or
+    // clear shows up as a difference. Both must decode the evaluator's
+    // output and land on the pinned noise accounting, which was taken
+    // when the copying evaluator and an arena-off scheme still existed
+    // and matched the in-place path bit for bit.
+    struct Pinned
+    {
+        benchsuite::Kernel kernel;
+        int final_noise_budget;
+        int consumed_noise;
+    };
+    const Pinned pins[] = {
+        {benchsuite::polyReg(4), 91, 68},
+        {benchsuite::l2Distance(4), 134, 25},
+    };
+    constexpr std::uint64_t kSeed = 0x5eed;
+    for (const Pinned& pin : pins) {
+        const Case c = makeCase(pin.kernel);
+        compiler::FheRuntime runtime;
+        // Measure the fresh budget before reseeding, as RuntimePool
+        // does, so both runs start from the same randomness.
+        runtime.scheme().freshNoiseBudget();
+        for (int pass = 0; pass < 2; ++pass) {
+            runtime.scheme().reseedRandomness(kSeed);
+            const fhe::PolyArena::Stats before = runtime.arenaStats();
+            const compiler::RunResult result =
+                runtime.run(c.compiled.program, c.env);
+            EXPECT_EQ(result.output, c.expected)
+                << c.kernel.name << " pass " << pass;
+            EXPECT_EQ(result.final_noise_budget, pin.final_noise_budget)
+                << c.kernel.name << " pass " << pass;
+            EXPECT_EQ(result.consumed_noise, pin.consumed_noise)
+                << c.kernel.name << " pass " << pass;
+            if (pass == 1) {
+                EXPECT_GT(runtime.arenaStats().reuses, before.reuses)
+                    << c.kernel.name << ": replay used no recycled buffer";
+            }
+        }
+        EXPECT_GT(runtime.inPlaceStats().consumed, 0u) << c.kernel.name;
+    }
 }
 
-TEST(ArenaDifferentialTest, EightWorkerMixedModesMatchReference)
+TEST(InPlaceEvaluationTest, RuntimeReplayReachesZeroAllocsAfterPriming)
 {
-    // 8 workers, every (arena, in-place) combination among them, each
-    // on its own runtime: all must decode the reference output. This is
-    // the "any worker count" leg of the determinism contract and the
-    // TSan job's cross-thread arena exercise through the full scheme.
-    const benchsuite::Kernel kernel = benchsuite::dotProduct(4);
-    compiler::FheRuntime reference_runtime;
-    const compiler::RunResult reference =
-        runKernel(reference_runtime, kernel);
+    // One pass over the mix primes every buffer size class the runtime
+    // needs; replaying the whole mix must then mint nothing, and every
+    // output on both passes must match the evaluator.
+    const std::vector<Case> mix = kernelMix();
+    compiler::FheRuntime runtime;
+    fhe::PolyArena::Stats primed;
+    for (int pass = 0; pass < 2; ++pass) {
+        if (pass == 1) primed = runtime.arenaStats();
+        for (const Case& c : mix) {
+            EXPECT_EQ(runtime.run(c.compiled.program, c.env).output,
+                      c.expected)
+                << c.kernel.name << " pass " << pass;
+        }
+    }
+    const fhe::PolyArena::Stats steady = runtime.arenaStats();
+    EXPECT_EQ(steady.allocs, primed.allocs)
+        << "the replay minted fresh arena buffers";
+    EXPECT_GT(steady.reuses, primed.reuses);
+}
 
+TEST(InPlaceEvaluationTest, EveryConsumeBranchMatchesEvaluator)
+{
+    // Small programs that reach each way the evaluator can consume a
+    // dying operand (left or right, with the other operand still live)
+    // or recycle one, run twice on one runtime so the second pass sees
+    // recycled buffers. The kernel mix alone never consumes the right
+    // operand of an add whose left one stays live.
+    const char* const programs[] = {
+        "(* (+ a (* b c)) a)",       // Add: right dies, left live.
+        "(* (+ (* a b) c) c)",       // Add: left dies, right live.
+        "(* (- a (* b c)) a)",       // Sub: right dies, left live.
+        "(* (- (* a b) c) c)",       // Sub: left dies, right live.
+        "(+ (* (pt w) (* x y)) 7)",  // MulPlain and AddPlain consume.
+        "(* (- (* a b)) a)",         // Negate consumes.
+        "(VecAdd (<< (VecMul (Vec a b c d) (Vec e f g h)) 1) (Vec a b c d))",
+    };
+    compiler::FheRuntime runtime;
+    for (const char* text : programs) {
+        const Case c = makeCase({text, ir::parse(text)});
+        for (int pass = 0; pass < 2; ++pass) {
+            EXPECT_EQ(runtime.run(c.compiled.program, c.env).output,
+                      c.expected)
+                << text << " pass " << pass;
+        }
+    }
+    EXPECT_GT(runtime.inPlaceStats().consumed, 0u);
+}
+
+TEST(InPlaceEvaluationTest, EightWorkersMatchEvaluator)
+{
+    // 8 workers, each on its own runtime: all must decode the
+    // evaluator's output. This is the "any worker count" leg of the
+    // determinism contract and the TSan job's cross-thread arena
+    // exercise through the full scheme.
+    const Case c = makeCase(benchsuite::dotProduct(4));
     constexpr int kWorkers = 8;
     std::vector<std::vector<std::int64_t>> outputs(kWorkers);
     std::vector<std::thread> workers;
     workers.reserve(kWorkers);
     for (int t = 0; t < kWorkers; ++t) {
-        workers.emplace_back([&kernel, &outputs, t] {
+        workers.emplace_back([&c, &outputs, t] {
             compiler::FheRuntime runtime;
-            runtime.setInPlaceEnabled(t % 2 == 0);
-            runtime.scheme().setArenaEnabled((t / 2) % 2 == 0);
             outputs[static_cast<std::size_t>(t)] =
-                runKernel(runtime, kernel).output;
+                runtime.run(c.compiled.program, c.env).output;
         });
     }
     for (auto& worker : workers) worker.join();
     for (int t = 0; t < kWorkers; ++t) {
-        EXPECT_EQ(outputs[static_cast<std::size_t>(t)], reference.output)
+        EXPECT_EQ(outputs[static_cast<std::size_t>(t)], c.expected)
             << "worker " << t;
     }
 }
