@@ -27,6 +27,13 @@ class Reader
     /// benchsuite kernel nests 34).
     static constexpr int kMaxNesting = 1024;
 
+    /// Most nodes the reader builds for one expression (every leaf, list
+    /// and fold node counts). The largest program any test, bench or
+    /// suite parses has ~2,050 nodes; the bound refuses a hostile
+    /// `(Vec ...)` of a million operands while it is being read, before
+    /// the compiler's passes see it.
+    static constexpr int kMaxNodes = 1 << 16;
+
     explicit Reader(const std::string& text) : text_(text) {}
 
     ExprPtr
@@ -128,6 +135,17 @@ class Reader
                            std::to_string(pos_));
     }
 
+    /// Count one more built node; refused above kMaxNodes.
+    void
+    countNode()
+    {
+        if (++nodes_ > kMaxNodes) {
+            throw CompileError("expression has more than " +
+                               std::to_string(kMaxNodes) + " nodes at " +
+                               std::to_string(pos_));
+        }
+    }
+
     /// The height of a node whose tallest child is \p child_height
     /// tall; refused above kMaxNesting. Heights count operator nodes on
     /// the longest root-to-leaf path (0 for a leaf).
@@ -145,6 +163,7 @@ class Reader
         const char c = peek();
         if (c == '(') return parseList(height);
         if (c == ')') throw CompileError("unexpected ')'");
+        countNode();
         height = 0;
         const std::string tok = readToken();
         if (isInteger(tok)) return constant(toInt64(tok));
@@ -190,6 +209,7 @@ class Reader
         if (head == "pt") {
             const std::string name = readToken();
             expectClose();
+            countNode();
             height = 0;
             return plainVar(name);
         }
@@ -198,6 +218,7 @@ class Reader
             ExprPtr operand = parseExpr(operand_height);
             const std::int64_t step = parseIntToken();
             expectClose();
+            countNode();
             height = levelAbove(operand_height);
             const int signed_step =
                 head == "<<" ? static_cast<int>(step) : -static_cast<int>(step);
@@ -212,6 +233,7 @@ class Reader
             return foldLeft(head == "+" ? Op::Add : Op::Mul,
                             std::move(operands), heights, height);
         }
+        countNode();
         int tallest = 0;
         for (const int h : heights) tallest = std::max(tallest, h);
         height = levelAbove(tallest);
@@ -266,6 +288,7 @@ class Reader
         height = heights[0];
         for (std::size_t i = 1; i < operands.size(); ++i) {
             height = levelAbove(std::max(height, heights[i]));
+            countNode();
             acc = makeNode(op, {acc, operands[i]}, {}, 0, 0);
         }
         return acc;
@@ -274,6 +297,7 @@ class Reader
     const std::string& text_;
     std::size_t pos_ = 0;
     int depth_ = 0; ///< Lists currently open.
+    int nodes_ = 0;  ///< Nodes built so far.
 };
 
 } // namespace

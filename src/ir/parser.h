@@ -22,8 +22,8 @@
 namespace chehab::ir {
 
 /// Parse one expression from \p text. Throws CompileError on malformed
-/// input (unbalanced parens, unknown operators, bad arity) and on lists
-/// nested more than 1,024 deep.
+/// input (unbalanced parens, unknown operators, bad arity), on trees
+/// taller than 1,024 and on more than 65,536 nodes.
 ExprPtr parse(const std::string& text);
 
 /// Returns true if \p text parses cleanly (used by the dataset

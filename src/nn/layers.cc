@@ -1,5 +1,6 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "support/error.h"
@@ -101,35 +102,23 @@ TransformerEncoder::TransformerEncoder(const EncoderConfig& config, Rng& rng)
 
 Tensor
 TransformerEncoder::attention(const Layer& layer, const Tensor& x,
-                              const std::vector<float>& key_mask) const
+                              bool cls_only) const
 {
-    const int len = x.rows();
     const int d_model = config_.d_model;
     const int n_heads = config_.n_heads;
     const int d_head = d_model / n_heads;
     const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(d_head));
 
-    const Tensor q = layer.wq.forward(x);
+    const Tensor q = layer.wq.forward(cls_only ? sliceRow(x, 0) : x);
     const Tensor k = layer.wk.forward(x);
     const Tensor v = layer.wv.forward(x);
-
-    // Additive attention mask: column j blocked when ids[j] is PAD.
-    std::vector<float> mask(static_cast<std::size_t>(len) * len, 0.0f);
-    for (int i = 0; i < len; ++i) {
-        for (int j = 0; j < len; ++j) {
-            if (key_mask[static_cast<std::size_t>(j)] == 0.0f) {
-                mask[static_cast<std::size_t>(i) * len + j] = -1e9f;
-            }
-        }
-    }
 
     Tensor heads;
     for (int h = 0; h < n_heads; ++h) {
         const Tensor qh = sliceCols(q, h * d_head, (h + 1) * d_head);
         const Tensor kh = sliceCols(k, h * d_head, (h + 1) * d_head);
         const Tensor vh = sliceCols(v, h * d_head, (h + 1) * d_head);
-        Tensor scores = scale(matmul(qh, transpose(kh)), inv_sqrt);
-        scores = addConstMask(scores, mask);
+        const Tensor scores = scale(matmul(qh, transpose(kh)), inv_sqrt);
         const Tensor attn = softmaxRows(scores);
         const Tensor out_h = matmul(attn, vh);
         heads = h == 0 ? out_h : concatCols(heads, out_h);
@@ -138,24 +127,27 @@ TransformerEncoder::attention(const Layer& layer, const Tensor& x,
 }
 
 Tensor
-TransformerEncoder::encodeSequence(const std::vector<int>& ids) const
+TransformerEncoder::encodeSequence(const std::vector<int>& ids,
+                                   bool cls_only) const
 {
     const int len = std::min(static_cast<int>(ids.size()), config_.max_len);
-    std::vector<int> clipped(ids.begin(), ids.begin() + len);
-    std::vector<int> positions(static_cast<std::size_t>(len));
-    std::vector<float> key_mask(static_cast<std::size_t>(len), 1.0f);
+    std::vector<int> tokens;
+    std::vector<int> positions;
     for (int i = 0; i < len; ++i) {
-        positions[static_cast<std::size_t>(i)] = i;
-        if (clipped[static_cast<std::size_t>(i)] == config_.pad_id) {
-            key_mask[static_cast<std::size_t>(i)] = 0.0f;
-        }
+        const int id = ids[static_cast<std::size_t>(i)];
+        if (id == config_.pad_id) continue;
+        tokens.push_back(id);
+        positions.push_back(i);
     }
 
-    Tensor x = add(embeddingLookup(token_embedding_, clipped),
+    Tensor x = add(embeddingLookup(token_embedding_, tokens),
                    embeddingLookup(position_embedding_, positions));
-    for (const Layer& layer : layers_) {
-        const Tensor attn = attention(layer, x, key_mask);
-        x = layerNormRows(add(x, attn), layer.ln1_gain, layer.ln1_bias);
+    for (std::size_t l = 0; l < layers_.size(); ++l) {
+        const Layer& layer = layers_[l];
+        const bool cls_row = cls_only && l + 1 == layers_.size();
+        const Tensor attn = attention(layer, x, cls_row);
+        x = layerNormRows(add(cls_row ? sliceRow(x, 0) : x, attn),
+                          layer.ln1_gain, layer.ln1_bias);
         const Tensor ff = layer.ff2.forward(relu(layer.ff1.forward(x)));
         x = layerNormRows(add(x, ff), layer.ln2_gain, layer.ln2_bias);
     }
@@ -165,8 +157,13 @@ TransformerEncoder::encodeSequence(const std::vector<int>& ids) const
 Tensor
 TransformerEncoder::encode(const std::vector<int>& ids) const
 {
-    // Row 0 is the CLS token (IciVocab::encode prepends it).
-    return sliceRow(encodeSequence(ids), 0);
+    // Row 0 is the CLS token (the tokenizers prepend it). Only that row
+    // leaves the encoder, so inference skips the other query rows of the
+    // final layer. With a graph recorded every row stays: cutting them
+    // would reorder gradient accumulation and move trained parameters.
+    CHEHAB_ASSERT(!ids.empty() && ids[0] != config_.pad_id,
+                  "encode() needs a CLS token first");
+    return sliceRow(encodeSequence(ids, !gradEnabled()), 0);
 }
 
 void

@@ -63,21 +63,22 @@ struct EncoderConfig
 };
 
 /// Transformer encoder producing one fixed-length embedding per program
-/// (the CLS row), with learned absolute positional embeddings and padding
-/// masking.
+/// (the CLS row), with learned absolute positional embeddings. PAD
+/// tokens never enter the encoder: they are dropped before the embedding
+/// lookup and every kept token keeps its original position id. This is
+/// bitwise the same as running PAD rows under an additive -1e9 key mask,
+/// because a masked key's softmax weight underflows to exactly 0 and
+/// every other operation is row-local.
 class TransformerEncoder
 {
   public:
     TransformerEncoder() = default;
     TransformerEncoder(const EncoderConfig& config, Rng& rng);
 
-    /// Encode a padded id sequence; returns a 1 x d_model embedding (the
-    /// CLS position after the final layer).
+    /// Encode a padded id sequence whose first id is CLS; returns a
+    /// 1 x d_model embedding (the CLS row after the final layer). Under
+    /// a NoGradGuard the final layer computes only the CLS query row.
     Tensor encode(const std::vector<int>& ids) const;
-
-    /// Contextual embeddings for all positions (used by the autoencoder
-    /// experiment); rows = sequence length.
-    Tensor encodeSequence(const std::vector<int>& ids) const;
 
     void collectParams(std::vector<Tensor>& params) const;
     const EncoderConfig& config() const { return config_; }
@@ -91,8 +92,14 @@ class TransformerEncoder
         Tensor ln2_gain, ln2_bias;
     };
 
+    /// Contextual embeddings of the non-PAD tokens, one row each; with
+    /// \p cls_only the final layer yields the CLS row alone.
+    Tensor encodeSequence(const std::vector<int>& ids, bool cls_only) const;
+
+    /// Multi-head self-attention over the rows of \p x; \p cls_only
+    /// queries with row 0 alone (keys and values still cover every row).
     Tensor attention(const Layer& layer, const Tensor& x,
-                     const std::vector<float>& key_mask) const;
+                     bool cls_only) const;
 
     EncoderConfig config_;
     Tensor token_embedding_;

@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <unordered_set>
+#include <utility>
 
 #include "support/error.h"
 
 namespace chehab::nn {
 
 namespace {
+
+thread_local bool t_grad_enabled = true;
 
 std::shared_ptr<Node>
 makeRaw(int rows, int cols, bool requires_grad)
@@ -22,18 +26,51 @@ makeRaw(int rows, int cols, bool requires_grad)
     return node;
 }
 
-/// Result node whose gradient flows back to its parents.
+/// Result node whose gradient flows back to its parents; under a
+/// NoGradGuard a bare value node instead.
+template <typename Backward>
 std::shared_ptr<Node>
-makeResult(int rows, int cols, std::vector<std::shared_ptr<Node>> parents,
-           std::function<void(Node&)> backward_fn)
+makeResult(int rows, int cols,
+           std::initializer_list<std::shared_ptr<Node>> parents,
+           Backward&& backward_fn)
 {
+    if (!t_grad_enabled) {
+        auto node = std::make_shared<Node>();
+        node->rows = rows;
+        node->cols = cols;
+        node->value.assign(static_cast<std::size_t>(rows) * cols, 0.0f);
+        return node;
+    }
     auto node = makeRaw(rows, cols, true);
-    node->parents = std::move(parents);
-    node->backward_fn = std::move(backward_fn);
+    node->parents = parents;
+    node->backward_fn = std::forward<Backward>(backward_fn);
     return node;
 }
 
+/// A node backward() may write gradients into.
+bool
+hasGrad(const Node& node)
+{
+    return node.grad.size() == node.value.size();
+}
+
 } // namespace
+
+bool
+gradEnabled()
+{
+    return t_grad_enabled;
+}
+
+NoGradGuard::NoGradGuard() : previous_(t_grad_enabled)
+{
+    t_grad_enabled = false;
+}
+
+NoGradGuard::~NoGradGuard()
+{
+    t_grad_enabled = previous_;
+}
 
 Tensor
 Tensor::zeros(int rows, int cols, bool requires_grad)
@@ -72,6 +109,8 @@ void
 Tensor::backward() const
 {
     CHEHAB_ASSERT(node_->size() == 1, "backward() needs a scalar");
+    CHEHAB_ASSERT(hasGrad(*node_),
+                  "backward() on a tensor built under NoGradGuard");
     // Topological order via iterative DFS.
     std::vector<Node*> order;
     std::unordered_set<Node*> visited;
@@ -82,6 +121,9 @@ Tensor::backward() const
         auto& [node, next_child] = stack.back();
         if (next_child < node->parents.size()) {
             Node* parent = node->parents[next_child++].get();
+            CHEHAB_ASSERT(hasGrad(*parent),
+                          "backward() through a tensor built under "
+                          "NoGradGuard");
             if (visited.insert(parent).second) {
                 stack.emplace_back(parent, 0);
             }

@@ -5,7 +5,8 @@
 /// Transformer/GRU encoders (§5.1, §5.4). Tensors are handles to graph
 /// nodes; operations record a backward closure that scatters gradients to
 /// the operands. Calling backward() on a scalar runs the tape in reverse
-/// topological order.
+/// topological order. Under a NoGradGuard operations record nothing and
+/// only compute values (policy inference).
 ///
 /// Scope decisions: everything is a 2-D matrix [rows x cols] (sequences
 /// are rows, features are columns); batching is done by looping, which is
@@ -44,6 +45,26 @@ struct Node
     {
         return grad[static_cast<std::size_t>(r) * cols + c];
     }
+};
+
+/// True unless a NoGradGuard is alive on this thread.
+bool gradEnabled();
+
+/// Inference mode for the current thread: while a guard is alive,
+/// operations compute values only. Their results get no grad buffer, no
+/// parents and no backward closure, so nothing can be differentiated
+/// through them (backward() on such a result fails CHEHAB_ASSERT).
+/// Leaf tensors (zeros/randn/fromData) are unaffected. Guards nest.
+class NoGradGuard
+{
+  public:
+    NoGradGuard();
+    ~NoGradGuard();
+    NoGradGuard(const NoGradGuard&) = delete;
+    NoGradGuard& operator=(const NoGradGuard&) = delete;
+
+  private:
+    bool previous_;
 };
 
 /// Value-semantics handle to a Node; cheap to copy.
@@ -105,9 +126,11 @@ Tensor tanhT(const Tensor& a);
 Tensor sigmoid(const Tensor& a);
 Tensor transpose(const Tensor& a);
 
-/// Row-wise softmax with an optional additive mask (use -1e9 entries to
-/// exclude padded positions, as in attention).
+/// Row-wise softmax.
 Tensor softmaxRows(const Tensor& a);
+
+/// a + mask for a constant mask (use -1e9 entries to exclude masked
+/// actions from a following softmax).
 Tensor addConstMask(const Tensor& a, const std::vector<float>& mask);
 
 /// Row-wise log-softmax (numerically stable); used for policy log-probs.

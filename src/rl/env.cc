@@ -7,6 +7,7 @@ namespace chehab::rl {
 RewriteEnv::RewriteEnv(const trs::Ruleset& ruleset, EnvConfig config)
     : ruleset_(&ruleset), config_(config)
 {
+    matches_.resize(ruleset_->size());
     match_counts_.assign(ruleset_->size() + 1, 0);
 }
 
@@ -25,9 +26,9 @@ void
 RewriteEnv::refreshMatches()
 {
     for (std::size_t r = 0; r < ruleset_->size(); ++r) {
-        match_counts_[r] = static_cast<int>(
-            (*ruleset_)[r].findMatches(program_, config_.max_locations)
-                .size());
+        matches_[r] = (*ruleset_)[r].findMatches(program_,
+                                                 config_.max_locations);
+        match_counts_[r] = static_cast<int>(matches_[r].size());
     }
     match_counts_[ruleset_->size()] = 1; // END always available.
 }
@@ -56,10 +57,11 @@ RewriteEnv::step(int rule, int location)
     }
 
     CHEHAB_ASSERT(rule >= 0 && rule < numRules(), "rule index range");
+    const auto r = static_cast<std::size_t>(rule);
     ir::ExprPtr next;
-    if (location >= 0 && location < match_counts_[static_cast<std::size_t>(rule)]) {
-        next = (*ruleset_)[static_cast<std::size_t>(rule)].applyAt(program_,
-                                                                   location);
+    if (location >= 0 && location < match_counts_[r]) {
+        next = (*ruleset_)[r].applyAtNode(
+            program_, matches_[r][static_cast<std::size_t>(location)]);
     }
     if (next) {
         const double next_cost =

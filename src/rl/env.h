@@ -75,6 +75,7 @@ class RewriteEnv
     double current_cost_ = 0.0;
     int steps_ = 0;
     bool done_ = true;
+    std::vector<std::vector<int>> matches_; ///< Per rule, node indices.
     std::vector<int> match_counts_;
 };
 

@@ -145,6 +145,7 @@ Policy::sample(const std::vector<int>& ids,
                const std::vector<int>& match_counts, Rng& rng,
                bool greedy) const
 {
+    const nn::NoGradGuard no_grad;
     const Tensor embedding = embed(ids);
     ActionSample action;
     action.value = critic_.forward(embedding).item();
@@ -214,6 +215,7 @@ Policy::evaluate(const std::vector<int>& ids,
 float
 Policy::valueOf(const std::vector<int>& ids) const
 {
+    const nn::NoGradGuard no_grad;
     return critic_.forward(embed(ids)).item();
 }
 

@@ -59,6 +59,8 @@ class Policy
     /// Sample an action under the current policy with rule/location
     /// masking (\p match_counts[r] = 0 disables rule r; END is index
     /// num_rules and always enabled). \p greedy takes the argmax instead.
+    /// Runs under an nn::NoGradGuard: no graph is built, and the
+    /// log-prob and value are bitwise those evaluate() computes.
     ActionSample sample(const std::vector<int>& ids,
                         const std::vector<int>& match_counts, Rng& rng,
                         bool greedy = false) const;
@@ -68,7 +70,7 @@ class Policy
                         const std::vector<int>& match_counts, int rule,
                         int location) const;
 
-    /// State value only (bootstrap for truncated rollouts).
+    /// State value only (bootstrap for truncated rollouts); no graph.
     float valueOf(const std::vector<int>& ids) const;
 
     /// All trainable parameters.

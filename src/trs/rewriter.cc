@@ -34,13 +34,10 @@ greedyOptimize(const Ruleset& ruleset, const ExprPtr& program,
         double best_cost = current_cost;
         int best_rule = -1;
         for (std::size_t r = 0; r < ruleset.size(); ++r) {
-            const std::vector<int> locations =
-                ruleset[r].findMatches(result.program, max_locations);
-            for (std::size_t ordinal = 0; ordinal < locations.size();
-                 ++ordinal) {
+            for (const int index :
+                 ruleset[r].findMatches(result.program, max_locations)) {
                 ExprPtr candidate =
-                    ruleset[r].applyAt(result.program,
-                                       static_cast<int>(ordinal));
+                    ruleset[r].applyAtNode(result.program, index);
                 if (!candidate) continue;
                 const double candidate_cost =
                     ir::cost(candidate, weights, costs);

@@ -61,7 +61,12 @@ RewriteRule::applyAt(const ExprPtr& root, int ordinal) const
 {
     const std::vector<int> matches = findMatches(root, ordinal + 1);
     if (ordinal >= static_cast<int>(matches.size())) return nullptr;
-    const int index = matches[ordinal];
+    return applyAtNode(root, matches[static_cast<std::size_t>(ordinal)]);
+}
+
+ir::ExprPtr
+RewriteRule::applyAtNode(const ExprPtr& root, int index) const
+{
     const ExprPtr node = ir::subtreeAt(root, index);
     auto rewritten = applyToSubtree(node);
     if (!rewritten) return nullptr;

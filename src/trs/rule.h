@@ -71,6 +71,11 @@ class RewriteRule
     /// new root, or nullptr if there are fewer matches.
     ir::ExprPtr applyAt(const ir::ExprPtr& root, int ordinal) const;
 
+    /// Rewrite at pre-order node \p index, one findMatches() already
+    /// returned for \p root, without scanning for matches again.
+    /// Returns the new root, or nullptr if the rule does not apply there.
+    ir::ExprPtr applyAtNode(const ir::ExprPtr& root, int index) const;
+
   private:
     std::string name_;
     RuleKind kind_;

@@ -195,5 +195,32 @@ TEST(ParserTest, WideSumsAreBoundedByTheTreeTheyFoldInto)
                  CompileError);
 }
 
+TEST(ParserTest, NodeCountIsBounded)
+{
+    // 65,536 nodes is the limit: a Vec node plus 65,535 leaves parses,
+    // one more leaf does not, and a million-operand Vec is refused
+    // while it is read.
+    constexpr int kLimit = 1 << 16;
+    const ExprPtr at_limit = parse(wideList("Vec", kLimit - 1));
+    EXPECT_EQ(at_limit->numNodes(), kLimit);
+    EXPECT_THROW(parse(wideList("Vec", kLimit)), CompileError);
+    EXPECT_THROW(parse(wideList("Vec", 1000000)), CompileError);
+    try {
+        parse(wideList("Vec", 1000000));
+    } catch (const CompileError& e) {
+        EXPECT_NE(std::string(e.what()).find("more than 65536 nodes"),
+                  std::string::npos)
+            << e.what();
+    }
+    // Every node kind counts: a (pt x) leaf, a rotation and a fold node
+    // each take one from the budget.
+    const std::string tail = " (pt p) (<< v 1) (+ x y))";
+    std::string text = wideList("Vec", kLimit - 7);
+    text.pop_back();
+    EXPECT_TRUE(isValid(text + tail));
+    EXPECT_EQ(parse(text + tail)->numNodes(), kLimit);
+    EXPECT_THROW(parse(text + " extra" + tail), CompileError);
+}
+
 } // namespace
 } // namespace chehab::ir

@@ -89,21 +89,121 @@ TEST(TransformerTest, EncodeShapeAndDeterminism)
     }
 }
 
+/// encode() with a graph recorded and under a NoGradGuard (where the
+/// final layer computes only the CLS row); both must agree bitwise.
+Tensor
+encodeBothWays(const TransformerEncoder& enc, const std::vector<int>& ids)
+{
+    const Tensor recorded = enc.encode(ids);
+    const NoGradGuard no_grad;
+    const Tensor bare = enc.encode(ids);
+    EXPECT_EQ(bare.data(), recorded.data());
+    return recorded;
+}
+
 TEST(TransformerTest, PaddingInvariance)
 {
-    // Changing tokens in PAD positions must not change the embedding:
-    // PAD keys are masked out of attention. (Token ids in PAD slots stay
-    // pad_id by construction, but the attention mask is what guarantees
-    // other positions ignore them.)
+    // The same tokens unpadded, padded to 7 and padded to max_len give
+    // bitwise the same embedding, and so does a sequence of max_len
+    // real tokens with or without PAD past the cut.
     Rng rng(5);
     const TransformerEncoder enc(smallConfig(), rng);
-    const std::vector<int> short_seq = {1, 5, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0};
-    const Tensor a = enc.encode(short_seq);
-    // Same content, same padding: identical; this is the base case.
-    const Tensor b = enc.encode(short_seq);
-    for (int i = 0; i < a.size(); ++i) {
-        EXPECT_NEAR(a.data()[static_cast<std::size_t>(i)],
-                    b.data()[static_cast<std::size_t>(i)], 1e-6f);
+    const std::vector<int> tokens = {1, 5, 6};
+    const Tensor unpadded = encodeBothWays(enc, tokens);
+    std::vector<int> padded = tokens;
+    padded.resize(7, 0);
+    EXPECT_EQ(encodeBothWays(enc, padded).data(), unpadded.data());
+    padded.resize(12, 0);
+    EXPECT_EQ(encodeBothWays(enc, padded).data(), unpadded.data());
+
+    std::vector<int> full = {1, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15};
+    const Tensor at_max_len = encodeBothWays(enc, full);
+    full.resize(15, 0);
+    EXPECT_EQ(encodeBothWays(enc, full).data(), at_max_len.data());
+    EXPECT_NE(at_max_len.data(), unpadded.data());
+}
+
+/// The encoder as it ran before PAD rows were dropped: every row, PAD
+/// included, through both layers, with an additive -1e9 mask on PAD
+/// keys. Built from the encoder's own parameters (collectParams order).
+Tensor
+maskedReferenceEncode(const std::vector<Tensor>& p, const EncoderConfig& cfg,
+                      const std::vector<int>& ids)
+{
+    const int len = static_cast<int>(ids.size());
+    std::vector<int> positions(ids.size());
+    std::vector<float> mask(static_cast<std::size_t>(len) * len, 0.0f);
+    for (int i = 0; i < len; ++i) {
+        positions[static_cast<std::size_t>(i)] = i;
+        for (int j = 0; j < len; ++j) {
+            if (ids[static_cast<std::size_t>(j)] == cfg.pad_id) {
+                mask[static_cast<std::size_t>(i) * len + j] = -1e9f;
+            }
+        }
+    }
+    const auto linear = [](const Tensor& x, const Tensor& w,
+                           const Tensor& b) {
+        return addRowBroadcast(matmul(x, w), b);
+    };
+    const int d_head = cfg.d_model / cfg.n_heads;
+    Tensor x = add(embeddingLookup(p[0], ids),
+                   embeddingLookup(p[1], positions));
+    for (int l = 0; l < cfg.n_layers; ++l) {
+        const Tensor* w = &p[2 + static_cast<std::size_t>(l) * 16];
+        const Tensor q = linear(x, w[0], w[1]);
+        const Tensor k = linear(x, w[2], w[3]);
+        const Tensor v = linear(x, w[4], w[5]);
+        Tensor heads;
+        for (int h = 0; h < cfg.n_heads; ++h) {
+            const Tensor qh = sliceCols(q, h * d_head, (h + 1) * d_head);
+            const Tensor kh = sliceCols(k, h * d_head, (h + 1) * d_head);
+            const Tensor vh = sliceCols(v, h * d_head, (h + 1) * d_head);
+            const Tensor scores = addConstMask(
+                scale(matmul(qh, transpose(kh)),
+                      1.0f / std::sqrt(static_cast<float>(d_head))),
+                mask);
+            const Tensor out_h = matmul(softmaxRows(scores), vh);
+            heads = h == 0 ? out_h : concatCols(heads, out_h);
+        }
+        x = layerNormRows(add(x, linear(heads, w[6], w[7])), w[8], w[9]);
+        const Tensor ff =
+            linear(relu(linear(x, w[10], w[11])), w[12], w[13]);
+        x = layerNormRows(add(x, ff), w[14], w[15]);
+    }
+    return sliceRow(x, 0);
+}
+
+TEST(TransformerTest, MatchesMaskedReferenceBitwise)
+{
+    // Dropping PAD rows (and, without a graph, every non-CLS row of the
+    // final layer) is exact: embeddings and every parameter gradient
+    // equal the masked all-rows reference bit for bit.
+    Rng rng(11);
+    const TransformerEncoder enc(smallConfig(), rng);
+    std::vector<Tensor> params;
+    enc.collectParams(params);
+    ASSERT_EQ(params.size(), 2u + 16u * 2u);
+    const auto grads = [&params] {
+        std::vector<std::vector<float>> out;
+        for (const Tensor& t : params) out.push_back(t.grad());
+        return out;
+    };
+    for (const std::vector<int>& ids :
+         {std::vector<int>{1, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+          std::vector<int>{1, 5, 6, 7, 3, 0, 0, 0, 0, 0, 0, 0},
+          std::vector<int>{1, 5, 0, 7, 0, 0, 9, 0, 0, 0, 0, 0},
+          std::vector<int>{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}) {
+        for (Tensor& t : params) t.zeroGrad();
+        const Tensor reference =
+            maskedReferenceEncode(params, enc.config(), ids);
+        sumAll(reference).backward();
+        const std::vector<std::vector<float>> reference_grads = grads();
+
+        for (Tensor& t : params) t.zeroGrad();
+        const Tensor embedding = encodeBothWays(enc, ids);
+        EXPECT_EQ(embedding.data(), reference.data());
+        sumAll(embedding).backward();
+        EXPECT_EQ(grads(), reference_grads);
     }
 }
 

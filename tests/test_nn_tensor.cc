@@ -1,10 +1,12 @@
 /// \file
 /// Autograd correctness: finite-difference gradient checks on every
-/// differentiable operation, plus shape/value unit tests.
+/// differentiable operation, plus shape/value unit tests and the
+/// graph-free (NoGradGuard) mode.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <functional>
+#include <thread>
 
 #include "nn/tensor.h"
 #include "support/rng.h"
@@ -227,6 +229,70 @@ TEST(TensorTest, BackwardAccumulatesThroughSharedNodes)
     y = sumAll(mulElem(x, x));
     y.backward();
     EXPECT_NEAR(x.grad()[0], 6.0f, 1e-5f);
+}
+
+TEST(TensorTest, NoGradGuardRecordsNoGraphAndNests)
+{
+    const Tensor a = Tensor::fromData(1, 2, {1.0f, 2.0f}, true);
+    const Tensor b = Tensor::fromData(1, 2, {3.0f, -4.0f}, true);
+    const Tensor recorded = mulElem(a, b);
+    EXPECT_TRUE(gradEnabled());
+    {
+        const NoGradGuard outer;
+        EXPECT_FALSE(gradEnabled());
+        {
+            const NoGradGuard inner;
+            EXPECT_FALSE(gradEnabled());
+        }
+        EXPECT_FALSE(gradEnabled());
+        const Tensor bare = mulElem(a, b);
+        // Same values, but no grad buffer, parents or backward closure.
+        EXPECT_EQ(bare.data(), recorded.data());
+        EXPECT_TRUE(bare.grad().empty());
+        EXPECT_FALSE(bare.requiresGrad());
+        EXPECT_TRUE(bare.node()->parents.empty());
+        EXPECT_FALSE(bare.node()->backward_fn);
+        // Leaves keep their gradient buffers.
+        EXPECT_EQ(Tensor::zeros(2, 3, true).grad().size(), 6u);
+    }
+    EXPECT_TRUE(gradEnabled());
+    EXPECT_EQ(recorded.grad().size(), 2u);
+    EXPECT_EQ(recorded.node()->parents.size(), 2u);
+}
+
+TEST(TensorTest, NoGradGuardIsPerThread)
+{
+    const NoGradGuard no_grad;
+    bool other_thread = false;
+    std::thread([&other_thread] { other_thread = gradEnabled(); }).join();
+    EXPECT_TRUE(other_thread);
+    EXPECT_FALSE(gradEnabled());
+}
+
+TEST(TensorDeathTest, BackwardWithoutGraphFailsAssert)
+{
+    const Tensor x = Tensor::fromData(1, 2, {1.0f, 2.0f}, true);
+    EXPECT_DEATH(
+        {
+            Tensor y;
+            {
+                const NoGradGuard no_grad;
+                y = sumAll(mulElem(x, x));
+            }
+            y.backward();
+        },
+        "backward\\(\\) on a tensor built under NoGradGuard");
+    // A recorded op over a result built under the guard fails too.
+    EXPECT_DEATH(
+        {
+            Tensor y;
+            {
+                const NoGradGuard no_grad;
+                y = mulElem(x, x);
+            }
+            sumAll(y).backward();
+        },
+        "through a tensor built under NoGradGuard");
 }
 
 TEST(TensorTest, MaskBlocksAttentionColumn)

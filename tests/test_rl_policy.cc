@@ -1,7 +1,7 @@
 /// \file
 /// Policy network tests: masking correctness, hierarchical vs flat action
-/// spaces, log-prob consistency between sample() and evaluate(), and
-/// gradient flow.
+/// spaces, bitwise log-prob and value agreement between the graph-free
+/// sample() and evaluate(), and gradient flow.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -66,17 +66,45 @@ TEST(PolicyTest, GreedyIsDeterministic)
     EXPECT_EQ(a.location, b.location);
 }
 
+/// sample() runs without a graph (and, for the Transformer, computes
+/// only the CLS row of its final layer); evaluate() records the full
+/// graph. For both encoders at two layers and for ids with no PAD, some
+/// PAD and only CLS real, every sampled action's log-prob and value must
+/// be bitwise what evaluate() recomputes.
+void
+expectSampleMatchesEvaluateBitwise(bool hierarchical,
+                                   const std::vector<int>& counts)
+{
+    const std::vector<std::vector<int>> id_sets = {
+        {1, 4, 7, 9, 3, 2, 5, 8, 6, 10, 11, 12, 13, 14, 15, 16},
+        someIds(),
+        {1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+    };
+    for (const EncoderKind kind : {EncoderKind::Transformer,
+                                   EncoderKind::Gru}) {
+        PolicyConfig config = smallPolicyConfig(hierarchical, kind);
+        config.encoder.n_layers = 2;
+        Rng rng(5);
+        const Policy policy(config, rng);
+        for (const std::vector<int>& ids : id_sets) {
+            Rng sample_rng(6);
+            for (int draw = 0; draw < 8; ++draw) {
+                const ActionSample a =
+                    policy.sample(ids, counts, sample_rng, draw == 0);
+                const PolicyEval eval =
+                    policy.evaluate(ids, counts, a.rule, a.location);
+                EXPECT_EQ(eval.log_prob.item(), a.log_prob)
+                    << "draw " << draw << ", ids[1] " << ids[1];
+                EXPECT_EQ(eval.value.item(), a.value);
+                EXPECT_EQ(policy.valueOf(ids), a.value);
+            }
+        }
+    }
+}
+
 TEST(PolicyTest, EvaluateMatchesSampleLogProb)
 {
-    Rng rng(5);
-    const Policy policy(smallPolicyConfig(), rng);
-    const std::vector<int> counts = {2, 0, 3, 1, 0, 2, 1};
-    Rng sample_rng(6);
-    const ActionSample a = policy.sample(someIds(), counts, sample_rng);
-    const PolicyEval eval =
-        policy.evaluate(someIds(), counts, a.rule, a.location);
-    EXPECT_NEAR(eval.log_prob.item(), a.log_prob, 1e-4f);
-    EXPECT_NEAR(eval.value.item(), a.value, 1e-4f);
+    expectSampleMatchesEvaluateBitwise(true, {2, 0, 3, 1, 0, 2, 1});
 }
 
 TEST(PolicyTest, FlatActionSpaceRespectsMask)
@@ -96,14 +124,8 @@ TEST(PolicyTest, FlatActionSpaceRespectsMask)
 
 TEST(PolicyTest, FlatEvaluateConsistent)
 {
-    Rng rng(9);
-    const Policy policy(smallPolicyConfig(false), rng);
-    const std::vector<int> counts = {1, 1, 1, 1, 1, 1, 1};
-    Rng sample_rng(10);
-    const ActionSample a = policy.sample(someIds(), counts, sample_rng);
-    const PolicyEval eval =
-        policy.evaluate(someIds(), counts, a.rule, a.location);
-    EXPECT_NEAR(eval.log_prob.item(), a.log_prob, 1e-4f);
+    expectSampleMatchesEvaluateBitwise(false, {1, 1, 1, 1, 1, 1, 1});
+    expectSampleMatchesEvaluateBitwise(false, {0, 2, 0, 4, 1, 0, 1});
 }
 
 TEST(PolicyTest, GruEncoderWorks)

@@ -2,15 +2,23 @@
 /// End-to-end RL training tests: PPO improves the policy's episode return
 /// on a tiny corpus, and the trained agent optimizes held-out programs
 /// better than chance. These run with deliberately small budgets so the
-/// suite stays fast; the benches scale them up.
+/// suite stays fast; the benches scale them up. The agent the benchmark
+/// trains is pinned bit for bit (parameters, optimize() results, every
+/// sampled log-prob and value) and shared by four optimize() threads.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iterator>
 #include <numeric>
+#include <thread>
 
+#include "benchsuite/kernels.h"
+#include "dataset/dataset.h"
 #include "dataset/motif_gen.h"
 #include "ir/evaluator.h"
 #include "ir/parser.h"
 #include "rl/agent.h"
+#include "support/binary_io.h"
 
 namespace chehab::rl {
 namespace {
@@ -129,6 +137,172 @@ TEST(RlAgentTest, WorksWithMotifDataset)
     RlAgent agent(ruleset(), config);
     const TrainStats stats = agent.train(corpus);
     EXPECT_GE(stats.total_steps, 128);
+}
+
+/// The agent perfbench's compile_rl workload ships: the default
+/// AgentConfig with one 64-step PPO update on 64 motif programs.
+const RlAgent&
+benchAgent()
+{
+    static const std::unique_ptr<RlAgent> agent = [] {
+        AgentConfig config;
+        config.ppo.total_timesteps = 64;
+        config.ppo.steps_per_update = 64;
+        config.ppo.minibatch_size = 32;
+        config.compile_rollouts = 2;
+        auto trained = std::make_unique<RlAgent>(ruleset(), config);
+        dataset::MotifSynthesizer synth(1234, {});
+        trained->train(dataset::buildDataset(
+            [&synth] { return synth.generate(); }, 64, {}));
+        return trained;
+    }();
+    return *agent;
+}
+
+/// FNV-1a over the bit patterns of every trainable parameter, in
+/// Policy::params() order.
+std::uint64_t
+paramFingerprint(const Policy& policy)
+{
+    std::string bytes;
+    for (const nn::Tensor& p : policy.params()) {
+        bytes.append(reinterpret_cast<const char*>(p.data().data()),
+                     p.data().size() * sizeof(float));
+    }
+    return fnv1a64(bytes);
+}
+
+/// compile_rl's 12-kernel mix, parsed back from its printed text as the
+/// benchmark sends it.
+std::vector<benchsuite::Kernel>
+compileRlMix()
+{
+    using namespace benchsuite;
+    std::vector<Kernel> mix;
+    for (const Kernel& kernel :
+         {dotProduct(8), hammingDistance(8), l2Distance(8), linearReg(8),
+          polyReg(8), boxBlur(3), gradientX(3), robertsCross(3), matMul(3),
+          maxKernel(4), polynomialTree(50, 50, 3),
+          polynomialTree(100, 50, 3)}) {
+        mix.push_back({kernel.name, ir::parse(kernel.program->toString())});
+    }
+    return mix;
+}
+
+/// Trace, cost and a hash of the program text: equal digests mean equal
+/// optimize() results.
+std::string
+digest(const AgentResult& result)
+{
+    std::string trace;
+    for (const std::string& name : result.trace) trace += name + " ";
+    char hash[32];
+    std::snprintf(hash, sizeof hash, "%016llx",
+                  static_cast<unsigned long long>(
+                      fnv1a64(result.program->toString())));
+    return trace + "| " + std::to_string(result.final_cost) + " | " + hash;
+}
+
+/// One greedy and one sampled episode of \p agent's policy on
+/// \p program: FNV-1a over every step's action and the bit patterns of
+/// its log-prob and value.
+std::uint64_t
+episodeHash(const RlAgent& agent, const ir::ExprPtr& program)
+{
+    std::string bytes;
+    Rng rng(5);
+    for (const bool greedy : {true, false}) {
+        RewriteEnv env(agent.ruleset(), agent.config().env);
+        env.reset(program);
+        while (!env.done()) {
+            const ActionSample a = agent.policy().sample(
+                agent.encoder().encode(env.program(),
+                                       agent.config().ppo.max_token_len),
+                env.matchCounts(), rng, greedy);
+            const int ints[2] = {a.rule, a.location};
+            const float floats[2] = {a.log_prob, a.value};
+            bytes.append(reinterpret_cast<const char*>(ints), sizeof ints);
+            bytes.append(reinterpret_cast<const char*>(floats),
+                         sizeof floats);
+            env.step(a.rule, a.location);
+        }
+    }
+    return fnv1a64(bytes);
+}
+
+TEST(RlAgentTest, BenchAgentParametersArePinned)
+{
+    // Taken before graph-free inference and PAD-row dropping landed:
+    // neither may move a trained bit.
+    EXPECT_EQ(paramFingerprint(benchAgent().policy()),
+              0x9a7099928ae63c7dull);
+}
+
+TEST(RlAgentTest, BenchAgentOptimizeIsPinned)
+{
+    // Per compile_rl kernel: optimize()'s trace, final cost and program
+    // text hash, then episodeHash(). All taken before graph-free
+    // inference landed; the episode hashes pin every log-prob and value
+    // bit the policy returns.
+    struct Pin
+    {
+        const char* name;
+        const char* optimized;
+        std::uint64_t episodes;
+    };
+    const Pin pinned[] = {
+        {"Dot Product 8", "reduce-sum-of-products | 261.000000 | 2512b461889f4763", 0x5b0a53519804fd30ull},
+        {"Hamm. Dist. 8", "reduce-sum pack-sub pack-add pack-mul pack-mul | 365.000000 | 81697b3047199183", 0x74c1276f71bf7d33ull},
+        {"L2 Distance 8", "reduce-sum-of-products pack-sub | 263.000000 | 2200b00242ae1be3", 0xf61d5639de2a9979ull},
+        {"Linear Reg. 8", "pack-add pack-mul | 104.000000 | 24ca964f74bf2503", 0x2ffbf7346921a819ull},
+        {"Poly. Reg. 8", "pack-add pack-mul pack-add pack-mul | 208.000000 | 20981e5b92ea7186", 0x7abd8c7019b49165ull},
+        {"Box Blur 3x3", "reduce-sum rotate-of-vec | 161.000000 | 5d380d0511ae2a93", 0xe2a0dd54e00713abull},
+        {"Gx 3x3", "vec-reduce-sum pack-mul | 261.000000 | d71bc11397ea0abb", 0xe68346695aa22983ull},
+        {"Rob. Cross 3x3", "vec-reduce-sum-of-products pack-sub | 157.000000 | a354122d8f5aca1d", 0xedeb0cea26051cc8ull},
+        {"Mat. Mul. 3x3", "vec-reduce-sum-of-products | 208.000000 | d1f222d41ae204eb", 0xb0f8cf3e810eb3c2ull},
+        {"Max 4", "| 2256.000000 | c59ac4fbdcc65d7e", 0x855e43187a9f7216ull},
+        {"Tree 50-50-3", "| 1005.000000 | 47b18c4b52da4879", 0xc61188cb5852349dull},
+        {"Tree 100-50-3", "reduce-sum-of-products mul-vectorize-2 mul-vectorize-2 | 357.000000 | 715d02760a6cf29d", 0xcb8c95fc80367921ull},
+    };
+    const std::vector<benchsuite::Kernel> mix = compileRlMix();
+    ASSERT_EQ(mix.size(), std::size(pinned));
+    for (std::size_t k = 0; k < mix.size(); ++k) {
+        EXPECT_EQ(mix[k].name, pinned[k].name);
+        EXPECT_EQ(digest(benchAgent().optimize(mix[k].program)),
+                  pinned[k].optimized)
+            << mix[k].name;
+        EXPECT_EQ(episodeHash(benchAgent(), mix[k].program),
+                  pinned[k].episodes)
+            << mix[k].name;
+    }
+}
+
+TEST(RlAgentTest, ConcurrentOptimizeMatchesSerial)
+{
+    // Four threads share one trained agent, each optimizing every
+    // fourth kernel of the mix at the same time, while the graph-free
+    // mode is thread-local: every result must equal the serial one.
+    const std::vector<benchsuite::Kernel> mix = compileRlMix();
+    const auto result = [&mix](std::size_t k) {
+        return digest(benchAgent().optimize(mix[k].program)) + " | " +
+               std::to_string(episodeHash(benchAgent(), mix[k].program));
+    };
+    std::vector<std::string> serial;
+    for (std::size_t k = 0; k < mix.size(); ++k) serial.push_back(result(k));
+    constexpr std::size_t kThreads = 4;
+    std::vector<std::string> concurrent(mix.size());
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::size_t k = t; k < mix.size(); k += kThreads) {
+                concurrent[k] = result(k);
+            }
+        });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (std::size_t k = 0; k < mix.size(); ++k) {
+        EXPECT_EQ(concurrent[k], serial[k]) << mix[k].name;
+    }
 }
 
 } // namespace
