@@ -230,6 +230,29 @@ episodeHash(const RlAgent& agent, const ir::ExprPtr& program)
     return fnv1a64(bytes);
 }
 
+/// Per compile_rl kernel, serially at the commit before graph-free
+/// inference landed: optimize()'s digest() and episodeHash().
+struct BenchPin
+{
+    const char* name;
+    const char* optimized;
+    std::uint64_t episodes;
+};
+const BenchPin kBenchPins[] = {
+    {"Dot Product 8", "reduce-sum-of-products | 261.000000 | 2512b461889f4763", 0x5b0a53519804fd30ull},
+    {"Hamm. Dist. 8", "reduce-sum pack-sub pack-add pack-mul pack-mul | 365.000000 | 81697b3047199183", 0x74c1276f71bf7d33ull},
+    {"L2 Distance 8", "reduce-sum-of-products pack-sub | 263.000000 | 2200b00242ae1be3", 0xf61d5639de2a9979ull},
+    {"Linear Reg. 8", "pack-add pack-mul | 104.000000 | 24ca964f74bf2503", 0x2ffbf7346921a819ull},
+    {"Poly. Reg. 8", "pack-add pack-mul pack-add pack-mul | 208.000000 | 20981e5b92ea7186", 0x7abd8c7019b49165ull},
+    {"Box Blur 3x3", "reduce-sum rotate-of-vec | 161.000000 | 5d380d0511ae2a93", 0xe2a0dd54e00713abull},
+    {"Gx 3x3", "vec-reduce-sum pack-mul | 261.000000 | d71bc11397ea0abb", 0xe68346695aa22983ull},
+    {"Rob. Cross 3x3", "vec-reduce-sum-of-products pack-sub | 157.000000 | a354122d8f5aca1d", 0xedeb0cea26051cc8ull},
+    {"Mat. Mul. 3x3", "vec-reduce-sum-of-products | 208.000000 | d1f222d41ae204eb", 0xb0f8cf3e810eb3c2ull},
+    {"Max 4", "| 2256.000000 | c59ac4fbdcc65d7e", 0x855e43187a9f7216ull},
+    {"Tree 50-50-3", "| 1005.000000 | 47b18c4b52da4879", 0xc61188cb5852349dull},
+    {"Tree 100-50-3", "reduce-sum-of-products mul-vectorize-2 mul-vectorize-2 | 357.000000 | 715d02760a6cf29d", 0xcb8c95fc80367921ull},
+};
+
 TEST(RlAgentTest, BenchAgentParametersArePinned)
 {
     // Taken before graph-free inference and PAD-row dropping landed:
@@ -240,39 +263,17 @@ TEST(RlAgentTest, BenchAgentParametersArePinned)
 
 TEST(RlAgentTest, BenchAgentOptimizeIsPinned)
 {
-    // Per compile_rl kernel: optimize()'s trace, final cost and program
-    // text hash, then episodeHash(). All taken before graph-free
-    // inference landed; the episode hashes pin every log-prob and value
-    // bit the policy returns.
-    struct Pin
-    {
-        const char* name;
-        const char* optimized;
-        std::uint64_t episodes;
-    };
-    const Pin pinned[] = {
-        {"Dot Product 8", "reduce-sum-of-products | 261.000000 | 2512b461889f4763", 0x5b0a53519804fd30ull},
-        {"Hamm. Dist. 8", "reduce-sum pack-sub pack-add pack-mul pack-mul | 365.000000 | 81697b3047199183", 0x74c1276f71bf7d33ull},
-        {"L2 Distance 8", "reduce-sum-of-products pack-sub | 263.000000 | 2200b00242ae1be3", 0xf61d5639de2a9979ull},
-        {"Linear Reg. 8", "pack-add pack-mul | 104.000000 | 24ca964f74bf2503", 0x2ffbf7346921a819ull},
-        {"Poly. Reg. 8", "pack-add pack-mul pack-add pack-mul | 208.000000 | 20981e5b92ea7186", 0x7abd8c7019b49165ull},
-        {"Box Blur 3x3", "reduce-sum rotate-of-vec | 161.000000 | 5d380d0511ae2a93", 0xe2a0dd54e00713abull},
-        {"Gx 3x3", "vec-reduce-sum pack-mul | 261.000000 | d71bc11397ea0abb", 0xe68346695aa22983ull},
-        {"Rob. Cross 3x3", "vec-reduce-sum-of-products pack-sub | 157.000000 | a354122d8f5aca1d", 0xedeb0cea26051cc8ull},
-        {"Mat. Mul. 3x3", "vec-reduce-sum-of-products | 208.000000 | d1f222d41ae204eb", 0xb0f8cf3e810eb3c2ull},
-        {"Max 4", "| 2256.000000 | c59ac4fbdcc65d7e", 0x855e43187a9f7216ull},
-        {"Tree 50-50-3", "| 1005.000000 | 47b18c4b52da4879", 0xc61188cb5852349dull},
-        {"Tree 100-50-3", "reduce-sum-of-products mul-vectorize-2 mul-vectorize-2 | 357.000000 | 715d02760a6cf29d", 0xcb8c95fc80367921ull},
-    };
+    // The episode hashes pin every log-prob and value bit the policy
+    // returns along the way.
     const std::vector<benchsuite::Kernel> mix = compileRlMix();
-    ASSERT_EQ(mix.size(), std::size(pinned));
+    ASSERT_EQ(mix.size(), std::size(kBenchPins));
     for (std::size_t k = 0; k < mix.size(); ++k) {
-        EXPECT_EQ(mix[k].name, pinned[k].name);
+        EXPECT_EQ(mix[k].name, kBenchPins[k].name);
         EXPECT_EQ(digest(benchAgent().optimize(mix[k].program)),
-                  pinned[k].optimized)
+                  kBenchPins[k].optimized)
             << mix[k].name;
         EXPECT_EQ(episodeHash(benchAgent(), mix[k].program),
-                  pinned[k].episodes)
+                  kBenchPins[k].episodes)
             << mix[k].name;
     }
 }
@@ -281,27 +282,29 @@ TEST(RlAgentTest, ConcurrentOptimizeMatchesSerial)
 {
     // Four threads share one trained agent, each optimizing every
     // fourth kernel of the mix at the same time, while the graph-free
-    // mode is thread-local: every result must equal the serial one.
+    // mode is thread-local: every result must equal the serial run that
+    // kBenchPins records.
     const std::vector<benchsuite::Kernel> mix = compileRlMix();
-    const auto result = [&mix](std::size_t k) {
-        return digest(benchAgent().optimize(mix[k].program)) + " | " +
-               std::to_string(episodeHash(benchAgent(), mix[k].program));
-    };
-    std::vector<std::string> serial;
-    for (std::size_t k = 0; k < mix.size(); ++k) serial.push_back(result(k));
+    ASSERT_EQ(mix.size(), std::size(kBenchPins));
     constexpr std::size_t kThreads = 4;
-    std::vector<std::string> concurrent(mix.size());
+    std::vector<std::pair<std::string, std::uint64_t>> concurrent(
+        mix.size());
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
             for (std::size_t k = t; k < mix.size(); k += kThreads) {
-                concurrent[k] = result(k);
+                concurrent[k] = {
+                    digest(benchAgent().optimize(mix[k].program)),
+                    episodeHash(benchAgent(), mix[k].program)};
             }
         });
     }
     for (std::thread& thread : threads) thread.join();
     for (std::size_t k = 0; k < mix.size(); ++k) {
-        EXPECT_EQ(concurrent[k], serial[k]) << mix[k].name;
+        EXPECT_EQ(concurrent[k].first, kBenchPins[k].optimized)
+            << mix[k].name;
+        EXPECT_EQ(concurrent[k].second, kBenchPins[k].episodes)
+            << mix[k].name;
     }
 }
 
