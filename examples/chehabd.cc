@@ -360,7 +360,9 @@ struct NamedKernel
 };
 
 /// --stats-json: one service-wide snapshot — run configuration,
-/// throughput, every ServiceStats counter (merged across shards), the
+/// throughput over the requests the service ran, the failed requests
+/// (`rejected` counts the input files the parser refused; `failures`
+/// includes them), every ServiceStats counter (merged across shards), the
 /// router's routing decisions, a per-shard counter breakdown, and the
 /// per-phase latency histograms. The flat qwait_p50/exec_p99-style
 /// keys at the end duplicate the nested phase table for one-liner
@@ -370,8 +372,8 @@ void
 writeStatsJson(std::ostream& out, const Options& options,
                const service::ShardedService& sharded,
                const service::ServiceStats& stats, std::size_t requests,
-               int failures, double wall_seconds,
-               const std::string& invariant_error)
+               std::size_t rejected, int failures, double jobs_per_s,
+               double wall_seconds, const std::string& invariant_error)
 {
     const telemetry::TelemetrySnapshot& tel = stats.telemetry;
     auto phaseJson = [&](telemetry::Phase phase) {
@@ -407,13 +409,10 @@ writeStatsJson(std::ostream& out, const Options& options,
     out << "  \"cache_dir\": \"" << jsonEscape(options.cache_dir)
         << "\",\n";
     out << "  \"requests\": " << requests << ",\n";
+    out << "  \"rejected\": " << rejected << ",\n";
     out << "  \"failures\": " << failures << ",\n";
     out << "  \"wall_s\": " << wall_seconds << ",\n";
-    out << "  \"jobs_per_s\": "
-        << (wall_seconds > 0
-                ? static_cast<double>(requests) / wall_seconds
-                : 0.0)
-        << ",\n";
+    out << "  \"jobs_per_s\": " << jobs_per_s << ",\n";
     // Empty string = every cross-counter invariant held on this
     // (quiescent) snapshot.
     out << "  \"invariants\": \"" << jsonEscape(invariant_error)
@@ -769,6 +768,9 @@ main(int argc, char** argv)
         }
     }
     const double wall_seconds = wall.elapsedSeconds();
+    // Rows [serviced, end) are the parser's rejections: counted as
+    // failures, but never submitted, so they are not part of jobs/s.
+    const std::size_t serviced = responses.size();
     responses.insert(responses.end(),
                      std::make_move_iterator(rejected.begin()),
                      std::make_move_iterator(rejected.end()));
@@ -795,10 +797,14 @@ main(int argc, char** argv)
     // |pred - meas| / meas, averaged over requests with a measurement.
     double error_sum = 0.0;
     int error_count = 0;
-    for (const service::RunResponse& response : responses) {
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+        const service::RunResponse& response = responses[i];
         if (!response.ok) ++failures;
+        // A rejected file never reached a cache.
+        const bool rejected_row = i >= serviced;
         const char* compile_src =
-            response.compile_cache_hit
+            rejected_row ? "-"
+            : response.compile_cache_hit
                 ? "hit"
                 : (response.compile_deduplicated ? "join" : "miss");
         // pred vs meas: the wall time the scheduler dispatched on
@@ -813,7 +819,8 @@ main(int argc, char** argv)
         }
         if (options.run) {
             const char* run_src =
-                response.run_cache_hit
+                rejected_row ? "-"
+                : response.run_cache_hit
                     ? "hit"
                     : (response.run_deduplicated ? "join" : "miss");
             // Packed-vs-solo latency: meas_ms is the (shared) execution
@@ -852,19 +859,21 @@ main(int argc, char** argv)
     }
 
     const service::ServiceStats stats = compile_service.stats();
+    const std::size_t rejected_count = responses.size() - serviced;
+    const double jobs_per_s =
+        wall_seconds > 0 ? static_cast<double>(serviced) / wall_seconds
+                         : 0.0;
     std::printf("\n%zu requests in %.3f s (%.1f jobs/s) on %d workers: "
                 "%llu compiled, %llu cache hits, %llu in-flight joins, "
                 "%llu evicted, %llu failed\n",
-                responses.size(), wall_seconds,
-                wall_seconds > 0 ? static_cast<double>(responses.size()) /
-                                       wall_seconds
-                                 : 0.0,
+                responses.size(), wall_seconds, jobs_per_s,
                 compile_service.numWorkers(),
                 static_cast<unsigned long long>(stats.compiled),
                 static_cast<unsigned long long>(stats.cache.hits),
                 static_cast<unsigned long long>(stats.cache.inflight_joins),
                 static_cast<unsigned long long>(stats.cache.evictions),
-                static_cast<unsigned long long>(stats.failed));
+                static_cast<unsigned long long>(stats.failed +
+                                                rejected_count));
     if (!options.cache_dir.empty()) {
         std::printf("persist: %llu warm hits, %llu misses, %llu corrupt "
                     "entries skipped, %llu writes (%s)\n",
@@ -1167,8 +1176,8 @@ main(int argc, char** argv)
             return 1;
         }
         writeStatsJson(stats_json, options, compile_service, stats,
-                       responses.size(), failures, wall_seconds,
-                       invariant_error);
+                       responses.size(), rejected_count, failures,
+                       jobs_per_s, wall_seconds, invariant_error);
         std::printf("wrote %s\n", options.stats_json_path.c_str());
     }
 

@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <tuple>
+#include <utility>
 
 #include "fhe/modarith.h"
 #include "support/error.h"
@@ -157,22 +158,36 @@ SealLite::SealLite(SealLiteParams params)
         }
     }
 
-    // Batching tables mod t: zeta is a primitive 2n-th root; slot j of
-    // row 0 is the evaluation at zeta^(3^j mod 2n).
-    const std::uint64_t zeta = findPrimitiveRoot(2 * n, t);
-    zeta_powers_.resize(2 * n);
-    std::uint64_t power = 1;
-    for (std::uint64_t i = 0; i < 2 * n; ++i) {
-        zeta_powers_[i] = power;
-        power = mulMod(power, zeta, t);
+    // Batching codec mod t. Transforming the monomial x puts the
+    // evaluation point behind each output index there; slot j of row 0
+    // is the evaluation at zeta^(3^j mod 2n), so its index is wherever
+    // that point landed. Reading the map off the tables keeps it
+    // consistent with whatever output order they use.
+    plain_ntt_ = acquireNttTables(params_.n, t);
+    if (params_.n >= 2) {
+        std::vector<std::uint64_t> x(static_cast<std::size_t>(n), 0);
+        x[1] = 1;
+        plain_ntt_->forward(x.data());
+        std::vector<std::pair<std::uint64_t, std::uint32_t>> point_index;
+        point_index.reserve(x.size());
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            point_index.emplace_back(x[i], static_cast<std::uint32_t>(i));
+        }
+        std::sort(point_index.begin(), point_index.end());
+        // Slot 0's point is zeta itself; zeta^(3^(j+1)) is the cube of
+        // zeta^(3^j).
+        std::uint64_t point = findPrimitiveRoot(2 * n, t);
+        slot_index_.resize(static_cast<std::size_t>(slots()));
+        for (std::uint32_t& index : slot_index_) {
+            const auto it = std::lower_bound(
+                point_index.begin(), point_index.end(),
+                std::make_pair(point, std::uint32_t{0}));
+            CHEHAB_ASSERT(it != point_index.end() && it->first == point,
+                          "slot point missing from the NTT outputs");
+            index = it->second;
+            point = mulMod(mulMod(point, point, t), point, t);
+        }
     }
-    slot_exponents_.resize(static_cast<std::size_t>(params_.n) / 2);
-    std::uint64_t e = 1;
-    for (auto& exponent : slot_exponents_) {
-        exponent = static_cast<int>(e);
-        e = (e * 3) % (2 * n);
-    }
-    inv_n_mod_t_ = invMod(n % t, t);
 
     // Key material: built by the first live instance of these params,
     // shared by the rest.
@@ -561,58 +576,30 @@ SealLite::encode(const std::vector<std::int64_t>& values) const
     CHEHAB_ASSERT(static_cast<int>(values.size()) <= slots(),
                   "too many values for the batching row");
     const std::uint64_t t = params_.plain_modulus;
-    const auto two_n = static_cast<std::uint64_t>(2 * params_.n);
-
-    // Slot values (row 0 = requested vector, row 1 = zeros).
-    std::vector<std::uint64_t> slot_values(slot_exponents_.size(), 0);
+    // Row-0 slot values at their transform indices, row 1 zero; the
+    // inverse NTT interpolates the coefficients.
+    Plaintext plain;
+    plain.coeffs.assign(static_cast<std::size_t>(params_.n), 0);
     for (std::size_t j = 0; j < values.size(); ++j) {
         const std::int64_t v = values[j] % static_cast<std::int64_t>(t);
-        slot_values[j] =
+        plain.coeffs[slot_index_[j]] =
             v >= 0 ? static_cast<std::uint64_t>(v)
                    : t - static_cast<std::uint64_t>(-v);
     }
-
-    // c_k = n^{-1} * sum_j v_j * zeta^{-e_j * k}   (exact inverse CRT
-    // over the slot exponents e_j = 3^j mod 2n; O(n^2) on purpose —
-    // simple and obviously correct).
-    Plaintext plain;
-    plain.coeffs.assign(static_cast<std::size_t>(params_.n), 0);
-    for (int k = 0; k < params_.n; ++k) {
-        std::uint64_t acc = 0;
-        for (std::size_t j = 0; j < slot_exponents_.size(); ++j) {
-            if (slot_values[j] == 0) continue;
-            const std::uint64_t exponent =
-                (two_n -
-                 (static_cast<std::uint64_t>(slot_exponents_[j]) * k) %
-                     two_n) %
-                two_n;
-            acc = addMod(acc,
-                         mulMod(slot_values[j], zeta_powers_[exponent], t),
-                         t);
-        }
-        plain.coeffs[static_cast<std::size_t>(k)] =
-            mulMod(acc, inv_n_mod_t_, t);
-    }
+    plain_ntt_->inverse(plain.coeffs.data());
     return plain;
 }
 
 std::vector<std::int64_t>
 SealLite::decode(const Plaintext& plain) const
 {
-    const std::uint64_t t = params_.plain_modulus;
-    const auto two_n = static_cast<std::uint64_t>(2 * params_.n);
-    std::vector<std::int64_t> values(slot_exponents_.size(), 0);
-    for (std::size_t j = 0; j < slot_exponents_.size(); ++j) {
-        std::uint64_t acc = 0;
-        for (int k = 0; k < params_.n; ++k) {
-            const std::uint64_t coeff =
-                plain.coeffs[static_cast<std::size_t>(k)];
-            if (coeff == 0) continue;
-            const std::uint64_t exponent =
-                (static_cast<std::uint64_t>(slot_exponents_[j]) * k) % two_n;
-            acc = addMod(acc, mulMod(coeff, zeta_powers_[exponent], t), t);
-        }
-        values[j] = static_cast<std::int64_t>(acc);
+    CHEHAB_ASSERT(static_cast<int>(plain.coeffs.size()) == params_.n,
+                  "plaintext degree does not match the parameters");
+    std::vector<std::uint64_t> points = plain.coeffs;
+    plain_ntt_->forward(points.data());
+    std::vector<std::int64_t> values(slot_index_.size());
+    for (std::size_t j = 0; j < slot_index_.size(); ++j) {
+        values[j] = static_cast<std::int64_t>(points[slot_index_[j]]);
     }
     return values;
 }

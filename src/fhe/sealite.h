@@ -156,10 +156,21 @@ class SealLite
     /// @}
 
     /// \name Batching
+    /// Slot j of row 0 is the plaintext polynomial evaluated at
+    /// zeta^(3^j mod 2n), zeta the primitive 2n-th root of unity mod t;
+    /// row 1 (the conjugate points) is always encoded as zero. Both
+    /// directions are one NTT over Z_t plus a slot permutation, as in
+    /// SEAL's BatchEncoder. Exact: interpolation at the n roots of
+    /// x^n + 1 mod the prime t is unique, so the coefficients equal the
+    /// O(n^2) inverse-CRT sum's bit for bit (the ReferenceCodec oracle
+    /// in tests/test_fhe_sealite.cc).
     /// @{
-    /// Encode up to slots() integers (mod t) into a plaintext.
+    /// Encode up to slots() integers (each reduced mod t) into a
+    /// plaintext: scatter to the slots' transform indices, one inverse
+    /// NTT.
     Plaintext encode(const std::vector<std::int64_t>& values) const;
-    /// Decode all slots() row-0 slot values.
+    /// Decode all slots() row-0 slot values, each in [0, t): one forward
+    /// NTT of a copy, gathered at the slots' transform indices.
     std::vector<std::int64_t> decode(const Plaintext& plain) const;
     /// @}
 
@@ -375,9 +386,13 @@ class SealLite
     /// centered representative of q_l mod t.
     std::vector<std::uint64_t> inv_prime_mod_t_;
     std::vector<std::vector<std::uint64_t>> switch_factor_;
-    std::vector<std::uint64_t> zeta_powers_;   ///< 2n-th root powers mod t.
-    std::vector<int> slot_exponents_;          ///< e_j = 3^j mod 2n (row 0).
-    std::uint64_t inv_n_mod_t_ = 0;
+    /// Batching codec: the process-wide negacyclic NTT tables over
+    /// Z_t (t ≡ 1 mod 2n, so acquireNttTables(n, t) applies), and per
+    /// row-0 slot j the transform index holding the evaluation at
+    /// zeta^(3^j mod 2n) — derived from the tables themselves, so it
+    /// follows their output order (see the constructor).
+    std::shared_ptr<const NttTables> plain_ntt_;
+    std::vector<std::uint32_t> slot_index_;
 
     /// Secret, relin key and Galois key store, shared with every other
     /// live instance of the same params.

@@ -159,7 +159,8 @@ struct RowKey
 
 /// One pending run job awaiting a lane: everything the service needs to
 /// execute it (solo or packed) and publish its entry once done. The
-/// compile entry shared_ptr keeps \c compiled alive until publication.
+/// compile entry shared_ptr keeps \c compiled alive until publication;
+/// the published RunArtifact then shares that entry.
 struct BatchLane
 {
     std::shared_ptr<RunEntry> entry;

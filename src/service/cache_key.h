@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -187,7 +188,10 @@ using CompileCache =
 /// shared that row and lane which region this request occupied.
 struct RunArtifact
 {
-    compiler::Compiled compiled;
+    /// Aliases the compile-cache entry that produced the program (one
+    /// shared copy for every run of it); holding it keeps that entry
+    /// alive after the kernel cache evicts it.
+    std::shared_ptr<const compiler::Compiled> compiled;
     compiler::RunResult result;
     double compile_seconds = 0.0; ///< Wall time of the producing compile.
     /// Load-model predicted wall seconds of the execution that

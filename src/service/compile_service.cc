@@ -34,6 +34,28 @@ toWindow(double seconds)
         static_cast<std::int64_t>(seconds * 1e9)};
 }
 
+/// The lane's compiled artifact as a handle sharing ownership of the
+/// compile entry that holds it: a run-cache entry keeps the program
+/// alive past kernel-cache eviction without a deep copy.
+std::shared_ptr<const compiler::Compiled>
+sharedCompiled(const BatchLane& lane)
+{
+    return {lane.compile_entry, lane.compiled};
+}
+
+/// A packed member's artifact, shared with the compile entry that owns
+/// it: the lane the member was created from (later lanes of the same
+/// compile key may hold an equal artifact from a recompiled entry).
+std::shared_ptr<const compiler::Compiled>
+sharedCompiled(const BatchPlanner::GroupMember& member)
+{
+    for (const BatchLane& lane : member.lanes) {
+        if (lane.compiled == member.compiled) return sharedCompiled(lane);
+    }
+    CHEHAB_ASSERT(false, "packed member's artifact has no owning lane");
+    return nullptr;
+}
+
 } // namespace
 
 const char*
@@ -728,21 +750,21 @@ CompileService::runSoloLane(const BatchLane& lane,
         telemetry_.enabled() ? telemetry_.nowNs() : 0;
     const Stopwatch exec_watch;
     try {
+        const compiler::Compiled& compiled = *lane.compiled;
         RunArtifact artifact;
-        artifact.compiled = *lane.compiled;
+        artifact.compiled = sharedCompiled(lane);
         artifact.compile_seconds = lane.compile_seconds;
         artifact.predicted_seconds = lane.predicted;
         artifact.window_wait_seconds = lane.window_wait_seconds;
         // Per-request reseed: bit-identical noise accounting on any
         // pooled instance (see runtime_pool.h).
         runtime.scheme().reseedRandomness(runSeed(lane.run_key));
-        if (artifact.compiled.key_planned) {
-            artifact.result =
-                runtime.run(artifact.compiled.program, lane.request.inputs,
-                            artifact.compiled.key_plan);
+        if (compiled.key_planned) {
+            artifact.result = runtime.run(
+                compiled.program, lane.request.inputs, compiled.key_plan);
         } else {
             artifact.result =
-                runtime.run(artifact.compiled.program, lane.request.inputs,
+                runtime.run(compiled.program, lane.request.inputs,
                             lane.request.key_budget);
         }
         const double seconds = exec_watch.elapsedSeconds();
@@ -948,9 +970,11 @@ CompileService::executePacked(BatchPlanner::Group& group, int worker)
             // packed_lanes counts per publication (not the group size
             // up front) so a mid-loop throw leaves the counters
             // consistent with what was actually delivered.
+            const std::shared_ptr<const compiler::Compiled> compiled =
+                sharedCompiled(member);
             for (std::size_t l = 0; l < member.lanes.size(); ++l) {
                 RunArtifact artifact;
-                artifact.compiled = *member.compiled;
+                artifact.compiled = compiled;
                 artifact.compile_seconds =
                     member.lanes[l].compile_seconds;
                 artifact.predicted_seconds = group.predicted_sum;
@@ -1136,7 +1160,7 @@ CompileService::submitRun(RunRequest request)
             response.worker_id = settled.worker_id;
             if (settled.state == RunEntry::State::Ready) {
                 response.ok = true;
-                response.compiled = settled.artifact->compiled;
+                response.compiled = *settled.artifact->compiled;
                 response.result = settled.artifact->result;
                 response.compile_seconds =
                     settled.artifact->compile_seconds;

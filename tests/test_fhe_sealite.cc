@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <thread>
+#include <utility>
 
 #include "fhe/bigint.h"
 #include "fhe/modarith.h"
@@ -163,10 +165,12 @@ TEST(BigIntTest, ReduceBySubtraction)
 
 // -- batching ----------------------------------------------------------------
 
-/// The O(n^2) batching codec, kept as the oracle for SealLite's: slot j
-/// of row 0 is the plaintext polynomial evaluated at zeta^(3^j mod 2n),
-/// zeta the primitive 2n-th root of unity mod t that SealLite uses, and
-/// row 1 is zero.
+/// The O(n^2) batching codec, kept as the oracle for SealLite's NTT
+/// codec: slot j of row 0 is the plaintext polynomial evaluated at
+/// zeta^(3^j mod 2n), zeta the primitive 2n-th root of unity mod t, and
+/// row 1 is zero. Zero slots and zero coefficients are skipped, so its
+/// cost is n times the nonzeros — sparse inputs keep it cheap at
+/// n = 32768.
 class ReferenceCodec
 {
   public:
@@ -193,14 +197,18 @@ class ReferenceCodec
     {
         const auto two_n = static_cast<std::uint64_t>(2 * n_);
         const std::uint64_t inv_n = invMod(static_cast<std::uint64_t>(n_), t_);
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> terms;
+        for (std::size_t j = 0; j < values.size(); ++j) {
+            const std::uint64_t v = reduce(values[j]);
+            if (v != 0) terms.emplace_back(slot_exponents_[j], v);
+        }
         std::vector<std::uint64_t> coeffs(static_cast<std::size_t>(n_), 0);
         for (int k = 0; k < n_; ++k) {
             std::uint64_t acc = 0;
-            for (std::size_t j = 0; j < values.size(); ++j) {
+            for (const auto& [e, v] : terms) {
                 const std::uint64_t exponent =
-                    (two_n - (slot_exponents_[j] * k) % two_n) % two_n;
-                acc = addMod(acc, mulMod(reduce(values[j]),
-                                         zeta_powers_[exponent], t_),
+                    (two_n - (e * k) % two_n) % two_n;
+                acc = addMod(acc, mulMod(v, zeta_powers_[exponent], t_),
                              t_);
             }
             coeffs[static_cast<std::size_t>(k)] = mulMod(acc, inv_n, t_);
@@ -213,13 +221,15 @@ class ReferenceCodec
     decode(const std::vector<std::uint64_t>& coeffs) const
     {
         const auto two_n = static_cast<std::uint64_t>(2 * n_);
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> terms;
+        for (std::size_t k = 0; k < coeffs.size(); ++k) {
+            if (coeffs[k] != 0) terms.emplace_back(k, coeffs[k]);
+        }
         std::vector<std::int64_t> values;
         for (const std::uint64_t e : slot_exponents_) {
             std::uint64_t acc = 0;
-            for (int k = 0; k < n_; ++k) {
-                acc = addMod(acc,
-                             mulMod(coeffs[static_cast<std::size_t>(k)],
-                                    zeta_powers_[(e * k) % two_n], t_),
+            for (const auto& [k, c] : terms) {
+                acc = addMod(acc, mulMod(c, zeta_powers_[(e * k) % two_n], t_),
                              t_);
             }
             values.push_back(static_cast<std::int64_t>(acc));
@@ -275,6 +285,161 @@ TEST(SealLiteCodecTest, MatchesReferenceAndRoundTrips)
             EXPECT_EQ(s.encode(decoded).coeffs, plain.coeffs);
         }
     }
+}
+
+SealLiteParams
+codecParams(int n)
+{
+    SealLiteParams params = testParams();
+    params.n = n;
+    params.prime_count = 1; // The codec never touches the RNS chain.
+    return params;
+}
+
+TEST(SealLiteCodecTest, SmallestDegreeMatchesReference)
+{
+    // n = 2: one slot, whose transform index is the only odd power.
+    const SealLite s(codecParams(2));
+    ASSERT_EQ(s.slots(), 1);
+    const ReferenceCodec reference(2, 65537);
+    for (const std::int64_t v : {0, 1, -1, 42, 65536, 65537, -65538}) {
+        SCOPED_TRACE(v);
+        const Plaintext plain = s.encode({v});
+        EXPECT_EQ(plain.coeffs, reference.encode({v}));
+        EXPECT_EQ(s.decode(plain), reference.decode(plain.coeffs));
+        EXPECT_EQ(s.decode(plain),
+                  std::vector<std::int64_t>{tmod(v)});
+    }
+    const std::vector<std::vector<std::uint64_t>> plaintexts = {
+        {3, 0}, {0, 7}, {65536, 12345}};
+    for (const std::vector<std::uint64_t>& coeffs : plaintexts) {
+        Plaintext plain;
+        plain.coeffs = coeffs;
+        EXPECT_EQ(s.decode(plain), reference.decode(coeffs));
+    }
+}
+
+TEST(SealLiteCodecTest, LargestDegreeSparseMatchesReference)
+{
+    // n = 32768 is the largest degree t = 65537 batches (2n | t - 1).
+    // Sparse rows and plaintexts keep the oracle at n * nonzeros.
+    const int n = 32768;
+    const SealLite s(codecParams(n));
+    const ReferenceCodec reference(n, 65537);
+    Rng rng(32768);
+    std::vector<std::int64_t> row(static_cast<std::size_t>(s.slots()), 0);
+    for (const int slot : {0, 1, 2, 4095, 4096, 12345, 16383}) {
+        row[static_cast<std::size_t>(slot)] = rng.uniformRange(-65536, 65536);
+    }
+    row[7] = 1; // At least one nonzero whatever the draws.
+    const Plaintext plain = s.encode(row);
+    EXPECT_EQ(plain.coeffs, reference.encode(row));
+    std::vector<std::int64_t> expected(row.size());
+    for (std::size_t j = 0; j < row.size(); ++j) {
+        expected[j] = static_cast<std::int64_t>(reference.reduce(row[j]));
+    }
+    EXPECT_EQ(s.decode(plain), expected);
+
+    Plaintext sparse;
+    sparse.coeffs.assign(static_cast<std::size_t>(n), 0);
+    for (const int k : {0, 1, 3, 1000, 16384, 32767}) {
+        sparse.coeffs[static_cast<std::size_t>(k)] = rng.uniformInt(65537);
+    }
+    EXPECT_EQ(s.decode(sparse), reference.decode(sparse.coeffs));
+}
+
+TEST(SealLiteCodecTest, LaneSlicesAtNonzeroFirstLaneMatchReference)
+{
+    const SealLite s(codecParams(256));
+    const ReferenceCodec reference(256, 65537);
+    const int stride = 16;
+    Rng rng(16);
+    std::vector<std::vector<std::int64_t>> lanes(6);
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+        lanes[l].resize(l % 2 == 0 ? 16 : 9); // Short lanes zero-pad.
+        for (auto& v : lanes[l]) v = rng.uniformRange(-70000, 70000);
+    }
+    std::vector<std::int64_t> row(lanes.size() * stride, 0);
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+        std::copy(lanes[l].begin(), lanes[l].end(),
+                  row.begin() + static_cast<std::ptrdiff_t>(l * stride));
+    }
+    const Plaintext plain = s.encodeLanes(lanes, stride);
+    EXPECT_EQ(plain.coeffs, reference.encode(row));
+
+    const std::vector<std::int64_t> slots = reference.decode(plain.coeffs);
+    for (const int first_lane : {1, 3, 5}) {
+        SCOPED_TRACE(first_lane);
+        const int num_lanes = 6 - first_lane;
+        const int width = 9;
+        const std::vector<std::vector<std::int64_t>> decoded =
+            s.decodeLanes(plain, stride, width, num_lanes, first_lane);
+        ASSERT_EQ(decoded.size(), static_cast<std::size_t>(num_lanes));
+        for (int l = 0; l < num_lanes; ++l) {
+            const auto base = static_cast<std::ptrdiff_t>(
+                (first_lane + l) * stride);
+            EXPECT_EQ(decoded[static_cast<std::size_t>(l)],
+                      std::vector<std::int64_t>(
+                          slots.begin() + base,
+                          slots.begin() + base + width));
+        }
+    }
+}
+
+TEST(SealLiteCodecTest, OutOfRangeInputsReduceLikeReference)
+{
+    const SealLite s(codecParams(64));
+    const ReferenceCodec reference(64, 65537);
+    const std::int64_t t = 65537;
+    const std::vector<std::int64_t> row = {
+        t,      t + 1,   2 * t + 5, 65536 * t + 3,
+        -t,     -t - 1,  -3 * t + 2, -65536 * t - 7,
+        INT64_MIN, INT64_MAX, INT64_MIN + 1, INT64_MAX - 1,
+        0,      -1};
+    const Plaintext plain = s.encode(row);
+    EXPECT_EQ(plain.coeffs, reference.encode(row));
+    const std::vector<std::int64_t> decoded = s.decode(plain);
+    EXPECT_EQ(decoded, reference.decode(plain.coeffs));
+    for (std::size_t j = 0; j < row.size(); ++j) {
+        EXPECT_EQ(decoded[j],
+                  static_cast<std::int64_t>(reference.reduce(row[j])))
+            << j;
+    }
+}
+
+TEST(SealLiteCodecTest, DecodeOfDensePlaintextMatchesReference)
+{
+    // Every coefficient random: row 1 of such a plaintext is nonzero,
+    // which no encode() output has.
+    for (const int n : {8, 1024}) {
+        SCOPED_TRACE(n);
+        const SealLite s(codecParams(n));
+        const ReferenceCodec reference(n, 65537);
+        Rng rng(static_cast<std::uint64_t>(n) + 1);
+        Plaintext plain;
+        plain.coeffs.resize(static_cast<std::size_t>(n));
+        for (auto& c : plain.coeffs) c = rng.uniformInt(65537);
+        EXPECT_EQ(s.decode(plain), reference.decode(plain.coeffs));
+    }
+}
+
+TEST(SealLiteCodecTest, ConstructionSharesTheProcessWideTables)
+{
+    // The codec's Z_t tables come from the (n, t) entry of the shared
+    // NTT table cache, like the chain primes' do: a second instance of
+    // live params hits for every modulus and builds nothing.
+    const SealLiteParams params = codecParams(512);
+    const SealLite first(params);
+    const NttTableCacheStats before = nttTableCacheStats();
+    const SealLite second(params);
+    const NttTableCacheStats after = nttTableCacheStats();
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.hits - before.hits,
+              static_cast<std::uint64_t>(params.prime_count) + 1);
+    EXPECT_EQ(acquireNttTables(params.n, params.plain_modulus)->modulus(),
+              params.plain_modulus);
+    EXPECT_EQ(nttTableCacheStats().misses, before.misses);
+    EXPECT_EQ(second.encode({5, -5}).coeffs, first.encode({5, -5}).coeffs);
 }
 
 TEST(SealLiteTest, EncodeDecodeRoundTrip)

@@ -487,6 +487,36 @@ TEST(ServiceExecuteTest, RunCacheHitSurvivesCompileEviction)
     EXPECT_EQ(stats.cache.misses, 2u);
 }
 
+TEST(ServiceExecuteTest, RunEntryKeepsItsArtifactPastCompileEviction)
+{
+    // A run-cache entry shares its program with the compile entry that
+    // produced it instead of copying it: once the kernel cache evicts
+    // that entry, the run entry alone must keep the program alive and
+    // intact (ASan flags a dangling share).
+    ServiceConfig config;
+    config.num_workers = 2;
+    config.kernel_cache_capacity = 1;
+    CompileService service(config);
+
+    RunRequest a = runRequest("a", dotSource(3));
+    RunRequest b = runRequest("b", dotSource(3, "y"));
+    const std::vector<RunResponse> first = service.runBatch({a});
+    ASSERT_TRUE(first[0].ok) << first[0].error;
+    ASSERT_TRUE(service.runBatch({b})[0].ok); // Evicts a's compile entry.
+    ASSERT_EQ(service.stats().cache.evictions, 1u);
+
+    const std::vector<RunResponse> again = service.runBatch({a});
+    ASSERT_TRUE(again[0].ok) << again[0].error;
+    EXPECT_TRUE(again[0].run_cache_hit);
+    EXPECT_EQ(again[0].compiled.program.disassemble(),
+              first[0].compiled.program.disassemble());
+    EXPECT_EQ(again[0].compiled.key_planned, first[0].compiled.key_planned);
+    EXPECT_EQ(again[0].result.output, first[0].result.output);
+    EXPECT_EQ(again[0].result.consumed_noise,
+              first[0].result.consumed_noise);
+    expectMatchesReference(again[0], a.source, a.inputs);
+}
+
 TEST(ServiceExecuteTest, PendingEntriesAreNotEvicted)
 {
     // Capacity 1 with a burst of distinct in-flight kernels: the cache
