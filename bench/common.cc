@@ -173,61 +173,6 @@ randomEnv(const ir::ExprPtr& program, std::uint64_t seed)
     return env;
 }
 
-LatencySummary
-latencySummary(const telemetry::TelemetrySnapshot& snapshot)
-{
-    LatencySummary summary;
-    const telemetry::LatencyHistogram& qwait =
-        snapshot.phase(telemetry::Phase::QueueWait);
-    const telemetry::LatencyHistogram& compile =
-        snapshot.phase(telemetry::Phase::Compile);
-    const telemetry::LatencyHistogram& exec =
-        snapshot.phase(telemetry::Phase::Execute);
-    summary.qwait_p50 = qwait.percentile(50.0);
-    summary.qwait_p99 = qwait.percentile(99.0);
-    summary.compile_p50 = compile.percentile(50.0);
-    summary.compile_p99 = compile.percentile(99.0);
-    summary.exec_p50 = exec.percentile(50.0);
-    summary.exec_p99 = exec.percentile(99.0);
-    summary.window_wait_p99 =
-        snapshot.phase(telemetry::Phase::WindowWait).percentile(99.0);
-    return summary;
-}
-
-const std::vector<std::string>&
-latencyCsvColumns()
-{
-    static const std::vector<std::string> columns = {
-        "qwait_p50", "qwait_p99",      "compile_p50",    "compile_p99",
-        "exec_p50",  "exec_p99",       "window_wait_p99"};
-    return columns;
-}
-
-void
-appendLatencyColumns(std::vector<std::string>& header)
-{
-    const std::vector<std::string>& columns = latencyCsvColumns();
-    header.insert(header.end(), columns.begin(), columns.end());
-}
-
-void
-printPhaseTable(const telemetry::TelemetrySnapshot& snapshot)
-{
-    std::printf("%-12s %9s %10s %10s %10s %10s\n", "phase", "count",
-                "p50_ms", "p90_ms", "p99_ms", "max_ms");
-    for (int p = 0; p < telemetry::kPhaseCount; ++p) {
-        const telemetry::LatencyHistogram& hist =
-            snapshot.hist[static_cast<std::size_t>(p)];
-        if (hist.count() == 0) continue;
-        std::printf("%-12s %9llu %10.3f %10.3f %10.3f %10.3f\n",
-                    telemetry::phaseName(static_cast<telemetry::Phase>(p)),
-                    static_cast<unsigned long long>(hist.count()),
-                    hist.percentile(50.0) * 1e3,
-                    hist.percentile(90.0) * 1e3,
-                    hist.percentile(99.0) * 1e3, hist.max() * 1e3);
-    }
-}
-
 Row
 Harness::evaluate(const benchsuite::Kernel& kernel,
                   const std::string& compiler_label,

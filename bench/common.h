@@ -1,9 +1,12 @@
 /// \file
-/// Shared benchmark harness: builds the kernel suite, trains the shared
-/// CHEHAB RL agent, compiles each kernel with every compiler under
-/// comparison, executes (or, for circuits exceeding the toy backend's
-/// slot capacity, estimates) on SealLite, and renders the paper-style
-/// comparison tables plus CSV artifacts in results/.
+/// Shared harness of the paper-figure benches (bench_fig5 ... fig13,
+/// bench_table1, bench_table6): builds the kernel suite, trains the
+/// shared CHEHAB RL agent, compiles each kernel with every compiler
+/// under comparison, executes (or, for circuits exceeding the toy
+/// backend's slot capacity, estimates) on SealLite, and renders the
+/// paper-style comparison tables plus CSV artifacts in results/.
+/// bench_ntt stands alone; the compile-and-run service is measured by
+/// perfbench/ and driven by examples/chehabd.
 ///
 /// Environment knobs:
 ///  - CHEHAB_BENCH_FAST=1           smaller suite and training budget
@@ -24,7 +27,6 @@
 #include "dataset/motif_gen.h"
 #include "dataset/random_gen.h"
 #include "rl/agent.h"
-#include "support/telemetry.h"
 #include "trs/rewriter.h"
 
 namespace chehab::benchcommon {
@@ -132,39 +134,5 @@ class Harness
 
 /// Deterministic random inputs for a kernel.
 ir::Env randomEnv(const ir::ExprPtr& program, std::uint64_t seed);
-
-/// Batch-wide latency percentiles (seconds) distilled from a service
-/// telemetry snapshot — the columns the service benches and chehabd
-/// report next to their throughput numbers. All zero when telemetry
-/// was off.
-struct LatencySummary
-{
-    double qwait_p50 = 0.0;       ///< Pool queue wait.
-    double qwait_p99 = 0.0;
-    double compile_p50 = 0.0;     ///< Owner compile wall time.
-    double compile_p99 = 0.0;
-    double exec_p50 = 0.0;        ///< Whole-row execution.
-    double exec_p99 = 0.0;
-    double window_wait_p99 = 0.0; ///< Coalescer wait for row-mates.
-};
-
-LatencySummary latencySummary(
-    const telemetry::TelemetrySnapshot& snapshot);
-
-/// The canonical CSV column names for LatencySummary, in field order —
-/// every consumer (chehabd --csv, bench_load_model, bench_cross_kernel,
-/// bench_sharded_service) appends exactly these so percentile columns
-/// are named identically across results/*.csv.
-const std::vector<std::string>& latencyCsvColumns();
-
-/// Append latencyCsvColumns() to a CSV header under construction.
-void appendLatencyColumns(std::vector<std::string>& header);
-
-/// Print the shared per-phase latency footer table to stdout: one row
-/// per phase with samples (count, p50/p90/p99/max in milliseconds),
-/// drawn from the snapshot's histograms. Works on merged multi-shard
-/// snapshots too — LatencyHistogram::merge keeps percentiles exact up
-/// to bucket resolution.
-void printPhaseTable(const telemetry::TelemetrySnapshot& snapshot);
 
 } // namespace chehab::benchcommon

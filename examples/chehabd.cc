@@ -131,7 +131,6 @@
 #include <vector>
 
 #include "benchsuite/kernels.h"
-#include "common.h"
 #include "dataset/dataset.h"
 #include "fhe/ntt.h"
 #include "fhe/sealite.h"
@@ -359,6 +358,65 @@ struct NamedKernel
     ir::ExprPtr source;
 };
 
+/// Batch-wide latency percentiles (seconds) from the service's
+/// telemetry histograms: the flat columns --csv repeats on every row
+/// and --stats-json ends with. All zero when telemetry was off.
+struct LatencySummary
+{
+    double qwait_p50 = 0.0;       ///< Pool queue wait.
+    double qwait_p99 = 0.0;
+    double compile_p50 = 0.0;     ///< Owner compile wall time.
+    double compile_p99 = 0.0;
+    double exec_p50 = 0.0;        ///< Whole-row execution.
+    double exec_p99 = 0.0;
+    double window_wait_p99 = 0.0; ///< Coalescer wait for row-mates.
+};
+
+LatencySummary
+latencySummary(const telemetry::TelemetrySnapshot& snapshot)
+{
+    const auto percentile = [&snapshot](telemetry::Phase phase, double q) {
+        return snapshot.phase(phase).percentile(q);
+    };
+    LatencySummary summary;
+    summary.qwait_p50 = percentile(telemetry::Phase::QueueWait, 50.0);
+    summary.qwait_p99 = percentile(telemetry::Phase::QueueWait, 99.0);
+    summary.compile_p50 = percentile(telemetry::Phase::Compile, 50.0);
+    summary.compile_p99 = percentile(telemetry::Phase::Compile, 99.0);
+    summary.exec_p50 = percentile(telemetry::Phase::Execute, 50.0);
+    summary.exec_p99 = percentile(telemetry::Phase::Execute, 99.0);
+    summary.window_wait_p99 =
+        percentile(telemetry::Phase::WindowWait, 99.0);
+    return summary;
+}
+
+/// The LatencySummary fields' CSV and JSON names, in field order.
+const char* const kLatencyColumns[] = {
+    "qwait_p50", "qwait_p99", "compile_p50",    "compile_p99",
+    "exec_p50",  "exec_p99",  "window_wait_p99"};
+
+/// The footer's per-phase latency table: one row per phase with
+/// samples (count, p50/p90/p99/max in milliseconds). Works on merged
+/// multi-shard snapshots too — LatencyHistogram::merge keeps
+/// percentiles exact up to bucket resolution.
+void
+printPhaseTable(const telemetry::TelemetrySnapshot& snapshot)
+{
+    std::printf("%-12s %9s %10s %10s %10s %10s\n", "phase", "count",
+                "p50_ms", "p90_ms", "p99_ms", "max_ms");
+    for (int p = 0; p < telemetry::kPhaseCount; ++p) {
+        const telemetry::LatencyHistogram& hist =
+            snapshot.hist[static_cast<std::size_t>(p)];
+        if (hist.count() == 0) continue;
+        std::printf("%-12s %9llu %10.3f %10.3f %10.3f %10.3f\n",
+                    telemetry::phaseName(static_cast<telemetry::Phase>(p)),
+                    static_cast<unsigned long long>(hist.count()),
+                    hist.percentile(50.0) * 1e3,
+                    hist.percentile(90.0) * 1e3,
+                    hist.percentile(99.0) * 1e3, hist.max() * 1e3);
+    }
+}
+
 /// --stats-json: one service-wide snapshot — run configuration,
 /// throughput over the requests the service ran, the failed requests
 /// (`rejected` counts the input files the parser refused; `failures`
@@ -497,23 +555,14 @@ writeStatsJson(std::ostream& out, const Options& options,
         phaseJson(static_cast<telemetry::Phase>(p));
     }
     out << "}},\n";
-    out << "  \"qwait_p50\": "
-        << tel.phase(telemetry::Phase::QueueWait).percentile(50.0)
-        << ",\n";
-    out << "  \"qwait_p99\": "
-        << tel.phase(telemetry::Phase::QueueWait).percentile(99.0)
-        << ",\n";
-    out << "  \"compile_p50\": "
-        << tel.phase(telemetry::Phase::Compile).percentile(50.0) << ",\n";
-    out << "  \"compile_p99\": "
-        << tel.phase(telemetry::Phase::Compile).percentile(99.0) << ",\n";
-    out << "  \"exec_p50\": "
-        << tel.phase(telemetry::Phase::Execute).percentile(50.0) << ",\n";
-    out << "  \"exec_p99\": "
-        << tel.phase(telemetry::Phase::Execute).percentile(99.0) << ",\n";
-    out << "  \"window_wait_p99\": "
-        << tel.phase(telemetry::Phase::WindowWait).percentile(99.0)
-        << "\n";
+    const LatencySummary lat = latencySummary(tel);
+    const double flat[] = {lat.qwait_p50,   lat.qwait_p99, lat.compile_p50,
+                           lat.compile_p99, lat.exec_p50,  lat.exec_p99,
+                           lat.window_wait_p99};
+    for (std::size_t i = 0; i < std::size(flat); ++i) {
+        out << "  \"" << kLatencyColumns[i] << "\": " << flat[i]
+            << (i + 1 < std::size(flat) ? ",\n" : "\n");
+    }
     out << "}\n";
 }
 
@@ -978,7 +1027,7 @@ main(int argc, char** argv)
                         stats.telemetry.events),
                     static_cast<unsigned long long>(
                         stats.telemetry.dropped));
-        benchcommon::printPhaseTable(stats.telemetry);
+        printPhaseTable(stats.telemetry);
     }
     // Every request has resolved by now, so the strict (quiescent)
     // accounting equalities must hold; a non-empty result is a service
@@ -1030,12 +1079,10 @@ main(int argc, char** argv)
         }
         // Batch-wide latency percentiles (seconds), repeated on every
         // row so a single CSV joins per-request and aggregate views;
-        // all 0 when telemetry is off. Shared columns + extraction:
-        // bench/common.h keeps every results CSV's percentile schema
-        // identical.
-        benchcommon::appendLatencyColumns(header);
-        const benchcommon::LatencySummary lat =
-            benchcommon::latencySummary(stats.telemetry);
+        // all 0 when telemetry is off.
+        header.insert(header.end(), std::begin(kLatencyColumns),
+                      std::end(kLatencyColumns));
+        const LatencySummary lat = latencySummary(stats.telemetry);
         CsvWriter csv(options.csv_path, header);
         for (const service::RunResponse& response : responses) {
             // pred_s/meas_s mirror the table columns: the scheduler's

@@ -1,5 +1,6 @@
 #include "fhe/ntt.h"
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <mutex>
@@ -302,6 +303,43 @@ acquireNttTables(int n, std::uint64_t p)
     auto tables = std::make_shared<const NttTables>(n, p);
     tableCache().emplace(key, tables);
     return tables;
+}
+
+const std::vector<std::uint32_t>&
+NttTables::slotIndex() const
+{
+    std::call_once(slot_index_once_, [this] {
+        if (n_ < 2) return;
+        // Transforming the monomial x puts the evaluation point behind
+        // each output index there; slot j's index is wherever
+        // psi^(3^j mod 2n) landed.
+        std::vector<std::uint64_t> x(static_cast<std::size_t>(n_), 0);
+        x[1] = 1;
+        forward(x.data());
+        std::vector<std::pair<std::uint64_t, std::uint32_t>> point_index;
+        point_index.reserve(x.size());
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            point_index.emplace_back(x[i], static_cast<std::uint32_t>(i));
+        }
+        std::sort(point_index.begin(), point_index.end());
+        // Slot 0's point is psi itself; psi^(3^(j+1)) is the cube of
+        // psi^(3^j).
+        std::uint64_t point =
+            findPrimitiveRoot(2 * static_cast<std::uint64_t>(n_), p_);
+        slot_index_.resize(static_cast<std::size_t>(n_ / 2));
+        for (std::uint32_t& index : slot_index_) {
+            const auto it = std::lower_bound(
+                point_index.begin(), point_index.end(),
+                std::make_pair(point, std::uint32_t{0}));
+            CHEHAB_ASSERT(it != point_index.end() && it->first == point,
+                          "slot point missing from the NTT outputs");
+            index = it->second;
+            point = mulMod(mulMod(point, point, p_), point, p_);
+        }
+        std::unique_lock<std::mutex> lock(tableCacheMutex());
+        ++table_cache_stats.slot_maps_built;
+    });
+    return slot_index_;
 }
 
 NttTableCacheStats

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "fhe/modarith.h"
@@ -75,6 +76,13 @@ class NttTables
     /// apply).
     const Barrett& reducer() const { return barrett_; }
 
+    /// Batching slot map: for row-0 slot j (j < n/2), the forward
+    /// output index holding the evaluation at psi^(3^j mod 2n). Read
+    /// off forward() itself, so it follows the transform's output
+    /// order. Built on the first call and kept with the tables, so
+    /// every SealLite over the shared (n, t) entry reuses one map.
+    const std::vector<std::uint32_t>& slotIndex() const;
+
   private:
     int n_ = 0;
     std::uint64_t p_ = 0;
@@ -92,6 +100,8 @@ class NttTables
     std::uint64_t inv_n_w_ = 0; ///< inv_n * inv_root_powers_[1]: the
                                 ///  fused last-stage odd-leg twiddle.
     std::uint64_t inv_n_w_shoup_ = 0;
+    mutable std::once_flag slot_index_once_;
+    mutable std::vector<std::uint32_t> slot_index_;
 
   public:
     /// Memoized n^-1 mod p (for tests asserting the memoization
@@ -127,6 +137,7 @@ struct NttTableCacheStats
 {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
+    std::uint64_t slot_maps_built = 0; ///< NttTables::slotIndex builds.
 };
 NttTableCacheStats nttTableCacheStats();
 

@@ -158,36 +158,10 @@ SealLite::SealLite(SealLiteParams params)
         }
     }
 
-    // Batching codec mod t. Transforming the monomial x puts the
-    // evaluation point behind each output index there; slot j of row 0
-    // is the evaluation at zeta^(3^j mod 2n), so its index is wherever
-    // that point landed. Reading the map off the tables keeps it
-    // consistent with whatever output order they use.
+    // Batching codec mod t: the shared (n, t) tables and their slot
+    // map, built by the first instance of any params with this (n, t).
     plain_ntt_ = acquireNttTables(params_.n, t);
-    if (params_.n >= 2) {
-        std::vector<std::uint64_t> x(static_cast<std::size_t>(n), 0);
-        x[1] = 1;
-        plain_ntt_->forward(x.data());
-        std::vector<std::pair<std::uint64_t, std::uint32_t>> point_index;
-        point_index.reserve(x.size());
-        for (std::size_t i = 0; i < x.size(); ++i) {
-            point_index.emplace_back(x[i], static_cast<std::uint32_t>(i));
-        }
-        std::sort(point_index.begin(), point_index.end());
-        // Slot 0's point is zeta itself; zeta^(3^(j+1)) is the cube of
-        // zeta^(3^j).
-        std::uint64_t point = findPrimitiveRoot(2 * n, t);
-        slot_index_.resize(static_cast<std::size_t>(slots()));
-        for (std::uint32_t& index : slot_index_) {
-            const auto it = std::lower_bound(
-                point_index.begin(), point_index.end(),
-                std::make_pair(point, std::uint32_t{0}));
-            CHEHAB_ASSERT(it != point_index.end() && it->first == point,
-                          "slot point missing from the NTT outputs");
-            index = it->second;
-            point = mulMod(mulMod(point, point, t), point, t);
-        }
-    }
+    plain_ntt_->slotIndex();
 
     // Key material: built by the first live instance of these params,
     // shared by the rest.
@@ -578,11 +552,12 @@ SealLite::encode(const std::vector<std::int64_t>& values) const
     const std::uint64_t t = params_.plain_modulus;
     // Row-0 slot values at their transform indices, row 1 zero; the
     // inverse NTT interpolates the coefficients.
+    const std::vector<std::uint32_t>& slot_index = plain_ntt_->slotIndex();
     Plaintext plain;
     plain.coeffs.assign(static_cast<std::size_t>(params_.n), 0);
     for (std::size_t j = 0; j < values.size(); ++j) {
         const std::int64_t v = values[j] % static_cast<std::int64_t>(t);
-        plain.coeffs[slot_index_[j]] =
+        plain.coeffs[slot_index[j]] =
             v >= 0 ? static_cast<std::uint64_t>(v)
                    : t - static_cast<std::uint64_t>(-v);
     }
@@ -597,9 +572,10 @@ SealLite::decode(const Plaintext& plain) const
                   "plaintext degree does not match the parameters");
     std::vector<std::uint64_t> points = plain.coeffs;
     plain_ntt_->forward(points.data());
-    std::vector<std::int64_t> values(slot_index_.size());
-    for (std::size_t j = 0; j < slot_index_.size(); ++j) {
-        values[j] = static_cast<std::int64_t>(points[slot_index_[j]]);
+    const std::vector<std::uint32_t>& slot_index = plain_ntt_->slotIndex();
+    std::vector<std::int64_t> values(slot_index.size());
+    for (std::size_t j = 0; j < slot_index.size(); ++j) {
+        values[j] = static_cast<std::int64_t>(points[slot_index[j]]);
     }
     return values;
 }

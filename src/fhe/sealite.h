@@ -387,12 +387,9 @@ class SealLite
     std::vector<std::uint64_t> inv_prime_mod_t_;
     std::vector<std::vector<std::uint64_t>> switch_factor_;
     /// Batching codec: the process-wide negacyclic NTT tables over
-    /// Z_t (t ≡ 1 mod 2n, so acquireNttTables(n, t) applies), and per
-    /// row-0 slot j the transform index holding the evaluation at
-    /// zeta^(3^j mod 2n) — derived from the tables themselves, so it
-    /// follows their output order (see the constructor).
+    /// Z_t (t ≡ 1 mod 2n, so acquireNttTables(n, t) applies), which
+    /// also hold the slot map (NttTables::slotIndex).
     std::shared_ptr<const NttTables> plain_ntt_;
-    std::vector<std::uint32_t> slot_index_;
 
     /// Secret, relin key and Galois key store, shared with every other
     /// live instance of the same params.

@@ -427,15 +427,22 @@ TEST(SealLiteCodecTest, ConstructionSharesTheProcessWideTables)
 {
     // The codec's Z_t tables come from the (n, t) entry of the shared
     // NTT table cache, like the chain primes' do: a second instance of
-    // live params hits for every modulus and builds nothing.
+    // live params hits for every modulus and builds nothing, its slot
+    // map included.
     const SealLiteParams params = codecParams(512);
     const SealLite first(params);
     const NttTableCacheStats before = nttTableCacheStats();
+    const std::uint32_t* map =
+        acquireNttTables(params.n, params.plain_modulus)->slotIndex().data();
     const SealLite second(params);
     const NttTableCacheStats after = nttTableCacheStats();
     EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.slot_maps_built, before.slot_maps_built);
+    EXPECT_EQ(
+        acquireNttTables(params.n, params.plain_modulus)->slotIndex().data(),
+        map);
     EXPECT_EQ(after.hits - before.hits,
-              static_cast<std::uint64_t>(params.prime_count) + 1);
+              static_cast<std::uint64_t>(params.prime_count) + 2);
     EXPECT_EQ(acquireNttTables(params.n, params.plain_modulus)->modulus(),
               params.plain_modulus);
     EXPECT_EQ(nttTableCacheStats().misses, before.misses);

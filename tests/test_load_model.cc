@@ -5,9 +5,10 @@
 /// (confidence gating, floor/ceiling clamps, burst resets),
 /// consolidation share advice, determinism of cost-driven
 /// consolidation (input-order invariance, heavy-group spreading, and
-/// 1-vs-8-worker bit-identical outputs at the service level), and the
-/// model's counter-consistency invariants under concurrent hammering
-/// (run in CI's ThreadSanitizer job).
+/// 1-vs-8-worker bit-identical outputs at the service level under
+/// adaptive and fixed windows, checked against the plaintext
+/// evaluator), and the model's counter-consistency invariants under
+/// concurrent hammering (run in CI's ThreadSanitizer job).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,9 +16,11 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "benchsuite/kernels.h"
+#include "ir/evaluator.h"
 #include "ir/parser.h"
 #include "service/batch_planner.h"
 #include "service/compile_service.h"
@@ -321,13 +324,35 @@ skewedRequest(const std::string& name, const ir::ExprPtr& source,
     return request;
 }
 
+/// The plaintext evaluator's answer modulo t: slot 0 for scalar
+/// sources (the TRS may vectorize them), the full width for vectors.
+bool
+matchesEvaluator(const RunRequest& request, const RunResponse& response)
+{
+    const auto t = static_cast<std::int64_t>(request.params.plain_modulus);
+    const auto norm = [t](std::int64_t v) { return ((v % t) + t) % t; };
+    const ir::Value expected =
+        ir::Evaluator().evaluate(request.source, request.inputs);
+    const std::vector<std::int64_t>& got = response.result.output;
+    if (got.empty()) return false;
+    if (!expected.is_vector) return norm(got[0]) == norm(expected.slots[0]);
+    if (got.size() != expected.slots.size()) return false;
+    for (std::size_t s = 0; s < got.size(); ++s) {
+        if (norm(got[s]) != norm(expected.slots[s])) return false;
+    }
+    return true;
+}
+
 TEST(LoadModelTest, AdaptiveSchedulingKeepsOutputsBitIdentical1v8)
 {
     // A skewed mix (one wide reduction among small kernels) run twice
     // per key so the second round dispatches on *measured* profiles —
-    // under 1 and 8 workers, with adaptive windows and cost-driven
-    // consolidation on. The scheduler may group and order differently;
-    // the outputs must match the solo baseline bit for bit.
+    // under 1 and 8 workers, with cost-driven consolidation and
+    // cross-kernel rows on, and with adaptive windows on and off (the
+    // fixed-window path is what `chehabd --adaptive-window 0`
+    // selects). The scheduler may group and order differently; the
+    // outputs must match the solo baseline bit for bit and the
+    // plaintext evaluator modulo t.
     const std::vector<ir::ExprPtr> sources = {
         ir::parse(dotSource(16)), ir::parse(dotSource(2)),
         ir::parse(dotSource(3)), ir::parse(dotSource(4))};
@@ -346,46 +371,62 @@ TEST(LoadModelTest, AdaptiveSchedulingKeepsOutputsBitIdentical1v8)
     };
 
     std::map<std::string, std::vector<std::int64_t>> solo;
+    std::map<std::string, RunRequest> requests;
     {
         ServiceConfig config;
         config.num_workers = 2;
         config.max_lanes = 1; // Batching off: the reference outputs.
         CompileService service(config);
         for (int round = 0; round < 2; ++round) {
+            std::vector<RunRequest> batch = makeRound(round);
+            for (const RunRequest& request : batch) {
+                requests.emplace(request.name, request);
+            }
             for (const RunResponse& response :
-                 service.runBatch(makeRound(round))) {
+                 service.runBatch(std::move(batch))) {
                 ASSERT_TRUE(response.ok)
                     << response.name << ": " << response.error;
+                EXPECT_TRUE(
+                    matchesEvaluator(requests.at(response.name), response))
+                    << response.name << " solo";
                 solo[response.name] = response.result.output;
             }
         }
     }
 
-    for (int workers : {1, 8}) {
-        ServiceConfig config;
-        config.num_workers = workers;
-        config.max_lanes = 0;
-        config.batch_window_seconds = 0.01;
-        config.cross_kernel = true;
-        config.adaptive_window = true;
-        config.load_model.min_arrival_samples = 2; // Adapt quickly.
-        CompileService service(config);
-        // Two rounds through one service: the second dispatches,
-        // consolidates and windows on profiles the first one measured.
-        for (int round = 0; round < 2; ++round) {
-            for (const RunResponse& response :
-                 service.runBatch(makeRound(round))) {
-                ASSERT_TRUE(response.ok)
-                    << response.name << ": " << response.error;
-                ASSERT_TRUE(solo.count(response.name)) << response.name;
-                EXPECT_EQ(response.result.output,
-                          solo.at(response.name))
-                    << response.name << " at " << workers << " workers";
+    for (const bool adaptive : {true, false}) {
+        for (int workers : {1, 8}) {
+            ServiceConfig config;
+            config.num_workers = workers;
+            config.max_lanes = 0;
+            config.batch_window_seconds = 0.01;
+            config.cross_kernel = true;
+            config.adaptive_window = adaptive;
+            config.load_model.min_arrival_samples = 2; // Adapt quickly.
+            CompileService service(config);
+            const std::string where =
+                std::string(adaptive ? " adaptive" : " fixed") +
+                " window at " + std::to_string(workers) + " workers";
+            // Two rounds through one service: the second dispatches,
+            // consolidates and windows on profiles the first measured.
+            for (int round = 0; round < 2; ++round) {
+                for (const RunResponse& response :
+                     service.runBatch(makeRound(round))) {
+                    ASSERT_TRUE(response.ok)
+                        << response.name << ": " << response.error;
+                    ASSERT_TRUE(solo.count(response.name)) << response.name;
+                    EXPECT_EQ(response.result.output,
+                              solo.at(response.name))
+                        << response.name << where;
+                    EXPECT_TRUE(matchesEvaluator(
+                        requests.at(response.name), response))
+                        << response.name << where;
+                }
             }
+            const ServiceStats stats = service.stats();
+            EXPECT_GT(stats.load_model.warm_predictions, 0u) << where;
+            EXPECT_GT(stats.load_model.run_observations, 0u) << where;
         }
-        const ServiceStats stats = service.stats();
-        EXPECT_GT(stats.load_model.warm_predictions, 0u) << workers;
-        EXPECT_GT(stats.load_model.run_observations, 0u) << workers;
     }
 }
 

@@ -29,7 +29,7 @@ smallParams()
 }
 
 /// Deterministic inputs: the shared benchsuite generator, so tests,
-/// chehabd --run and the execute benches agree on values.
+/// chehabd --run and perfbench agree on values.
 ir::Env
 inputsFor(const ir::ExprPtr& program)
 {

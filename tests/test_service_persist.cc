@@ -14,13 +14,17 @@
 ///     instances) never tear an entry;
 ///   - a second service lifetime over the same cache_dir warm-starts:
 ///     persist hits instead of compiles, with responses bit-identical
-///     to the cold run's, at 1 worker and at 8.
+///     to the cold run's, at 1 worker and at 8, on one shard and on
+///     two shards sharing the directory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -34,6 +38,7 @@
 #include "service/compile_service.h"
 #include "service/persist.h"
 #include "service/service_stats.h"
+#include "service/shard_router.h"
 #include "trs/ruleset.h"
 
 namespace chehab::service {
@@ -48,11 +53,13 @@ class PersistTest : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = fs::temp_directory_path() /
-               ("chehab_persist_test_" +
-                std::string(::testing::UnitTest::GetInstance()
-                                ->current_test_info()
-                                ->name()));
+        // Parameterized names carry a '/': flatten it, so TearDown
+        // removes the whole directory.
+        std::string name = ::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name();
+        std::replace(name.begin(), name.end(), '/', '_');
+        dir_ = fs::temp_directory_path() / ("chehab_persist_test_" + name);
         fs::remove_all(dir_);
         fs::create_directories(dir_);
     }
@@ -375,21 +382,36 @@ struct LifetimeResult
     ServiceStats stats;
 };
 
+/// One service lifetime over \p cache_dir: a plain CompileService at
+/// one shard, a ShardedService (every shard over the same directory)
+/// above that. Runs stay on their compile key's affinity shard, so
+/// each distinct kernel is compiled or loaded exactly once fleet-wide
+/// and the counters below are exact; load-based stealing is covered
+/// by test_shard_router.
 LifetimeResult
 runLifetime(const std::string& cache_dir, int workers, int distinct,
-            int repeats)
+            int repeats, int shards = 1)
 {
     ServiceConfig config;
     config.num_workers = workers;
     config.cache_dir = cache_dir;
     config.max_lanes = 1;
-    CompileService service(config);
+    std::unique_ptr<ServiceApi> service;
+    if (shards == 1) {
+        service = std::make_unique<CompileService>(config);
+    } else {
+        config.shards = shards;
+        RouterConfig affinity_only;
+        affinity_only.hot_slack_seconds =
+            std::numeric_limits<double>::infinity();
+        service = std::make_unique<ShardedService>(config, affinity_only);
+    }
     LifetimeResult result;
     std::vector<RunRequest> requests = suiteRequests(distinct, repeats);
     const std::vector<RunRequest> reference = requests;
-    result.responses = service.runBatch(std::move(requests));
-    service.drain();
-    result.stats = service.stats();
+    result.responses = service->runBatch(std::move(requests));
+    service->drain();
+    result.stats = service->stats();
     // Every response checked against the plaintext evaluator, and the
     // quiescent stats invariants must hold with persistence active.
     for (std::size_t i = 0; i < result.responses.size(); ++i) {
@@ -425,18 +447,22 @@ expectBitIdentical(const LifetimeResult& cold,
     }
 }
 
-class PersistServiceTest : public PersistTest,
-                           public ::testing::WithParamInterface<int>
+/// Parameterized over (shards, workers).
+class PersistServiceTest
+    : public PersistTest,
+      public ::testing::WithParamInterface<std::pair<int, int>>
 {};
 
 TEST_P(PersistServiceTest, WarmRestartIsBitIdenticalToColdRun)
 {
-    const int workers = GetParam();
+    const auto [shards, workers] = GetParam();
     const int distinct = 4;
     const int repeats = 3;
 
+    // Warm-restart speed comes from these counters: the warm lifetime
+    // compiles nothing and loads every distinct kernel from disk.
     const LifetimeResult cold =
-        runLifetime(dir(), workers, distinct, repeats);
+        runLifetime(dir(), workers, distinct, repeats, shards);
     EXPECT_EQ(cold.stats.persist.hits, 0u);
     EXPECT_EQ(cold.stats.compiled,
               static_cast<std::uint64_t>(distinct));
@@ -444,7 +470,7 @@ TEST_P(PersistServiceTest, WarmRestartIsBitIdenticalToColdRun)
               static_cast<std::uint64_t>(distinct));
 
     const LifetimeResult warm =
-        runLifetime(dir(), workers, distinct, repeats);
+        runLifetime(dir(), workers, distinct, repeats, shards);
     EXPECT_EQ(warm.stats.compiled, 0u); // Every miss loaded from disk.
     EXPECT_EQ(warm.stats.persist.hits,
               static_cast<std::uint64_t>(distinct));
@@ -453,8 +479,10 @@ TEST_P(PersistServiceTest, WarmRestartIsBitIdenticalToColdRun)
     expectBitIdentical(cold, warm);
 }
 
-INSTANTIATE_TEST_SUITE_P(Workers, PersistServiceTest,
-                         ::testing::Values(1, 8));
+INSTANTIATE_TEST_SUITE_P(ShardsAndWorkers, PersistServiceTest,
+                         ::testing::Values(std::pair{1, 1}, std::pair{1, 8},
+                                           std::pair{2, 1},
+                                           std::pair{2, 8}));
 
 TEST_F(PersistTest, CorruptedStoreFallsBackToColdCompiles)
 {

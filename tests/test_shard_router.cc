@@ -351,12 +351,26 @@ TEST(ShardedServiceTest, OutputsInvariantAcrossShardAndWorkerCounts)
         if (!expected.is_vector) slots.resize(1);
         reference[request.name] = std::move(slots);
     }
-    for (const auto& [shards, workers] :
-         std::vector<std::pair<int, int>>{{1, 1}, {2, 2}, {4, 1}, {3, 8}}) {
+    // The last shape packs distinct kernels into shared rows on every
+    // shard (cross-kernel composition, up to 8 lanes per row).
+    struct Shape
+    {
+        int shards;
+        int workers;
+        int max_lanes;
+        bool cross_kernel;
+    };
+    for (const auto& [shards, workers, max_lanes, cross_kernel] :
+         std::vector<Shape>{{1, 1, 4, false},
+                            {2, 2, 4, false},
+                            {4, 1, 4, false},
+                            {3, 8, 4, false},
+                            {2, 4, 8, true}}) {
         ServiceConfig config;
         config.shards = shards;
         config.num_workers = workers;
-        config.max_lanes = 4;
+        config.max_lanes = max_lanes;
+        config.cross_kernel = cross_kernel;
         config.batch_window_seconds = 0.02;
         ShardedService service(config);
         const auto outputs = outputsByName(service, mixedBatch(12));
@@ -373,7 +387,8 @@ TEST(ShardedServiceTest, OutputsInvariantAcrossShardAndWorkerCounts)
             for (std::size_t s = 0; s < expected.size(); ++s) {
                 EXPECT_EQ(slots[s], expected[s])
                     << name << " slot " << s << " @ " << shards
-                    << " shards x " << workers << " workers";
+                    << " shards x " << workers << " workers"
+                    << (cross_kernel ? ", cross-kernel" : "");
             }
         }
     }
